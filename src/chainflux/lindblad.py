@@ -4,12 +4,10 @@ The master equation used throughout is
 
     drho/dt = i[rho, H] + sum_s ( L_s rho L_s^dag - (1/2){L_s^dag L_s, rho} )
 
-Vectorization is column-stacking, so the superoperator matrix reads
+Vectorization is column-stacking, so with the effective non-Hermitian
+Hamiltonian K = -iH - (1/2) sum_s L_s^dag L_s the superoperator matrix reads
 
-    -i(I (x) H - H^T (x) I)
-    + sum_s ( conj(L_s) (x) L_s
-              - (1/2) I (x) (L_s^dag L_s)
-              - (1/2) (L_s^dag L_s)^T (x) I )
+    I (x) K + conj(K) (x) I + sum_s conj(L_s) (x) L_s
 
 which is verified against the direct matrix formula by the test suite.
 """
@@ -22,8 +20,8 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 
 from .chain import (
     ChainSpec,
@@ -43,9 +41,15 @@ from .pauli import embed, pauli
 
 STEADY_METHODS = ("auto", "dense_null", "evolve")
 
-# Hard ceiling for materializing the superoperator matrix (Hilbert dim 128
-# already means a 16384^2 complex matrix, ~4 GB).
-_MATRIX_DIM_CAP = 128
+# Shift for the shift-invert uniqueness certificate. A Lindbladian's spectrum
+# lies in Re(lambda) <= 0, so for any real shift s > 0 every zero mode is
+# strictly nearer to s than any other eigenvalue (|lambda - s|^2 >= s^2 +
+# |lambda|^2). A small s keeps the order by |lambda - s| close to the order
+# by |lambda|, so the second eigenvalue found is the spectral gap.
+_CERTIFICATE_SHIFT = 1e-6
+# ARPACK start vector seed: a fixed random start keeps the certificate
+# reproducible and, unlike vec(I), has a component along every zero mode.
+_CERTIFICATE_SEED = 20170315
 
 
 @dataclass(frozen=True)
@@ -166,9 +170,8 @@ def unvectorize(vec: np.ndarray) -> np.ndarray:
 class Liouvillian:
     """Generator of the master equation for one Hamiltonian and jump set.
 
-    ``apply`` evaluates the action matrix-free; ``matrix`` materializes the
-    column-stacked superoperator (only sensible for small chains, guarded by
-    a hard dimension cap).
+    ``apply`` evaluates the action matrix-free; ``matrix`` assembles the
+    column-stacked superoperator as a sparse CSC matrix.
     """
 
     def __init__(self, hamiltonian: np.ndarray, jumps: Sequence[np.ndarray]):
@@ -187,26 +190,18 @@ class Liouvillian:
         return out
 
     @cached_property
-    def matrix(self) -> np.ndarray:
-        """Dense column-stacked superoperator of shape (dim^2, dim^2)."""
-        if self.dim > _MATRIX_DIM_CAP:
-            raise SpecError(
-                f"refusing to materialize a {self.dim**2}x{self.dim**2} superoperator; "
-                f"use the matrix-free apply() or the evolve solver"
-            )
+    def matrix(self) -> scipy.sparse.csc_matrix:
+        """Sparse column-stacked superoperator of shape (dim^2, dim^2)."""
         ident = scipy.sparse.identity(self.dim, dtype=complex, format="csr")
-        h = scipy.sparse.csr_matrix(self.hamiltonian)
-        sup = -1j * (scipy.sparse.kron(ident, h) - scipy.sparse.kron(h.T, ident))
-        for L, ldl in self._pairs:
+        k_eff = -1j * self.hamiltonian
+        for _, ldl in self._pairs:
+            k_eff = k_eff - 0.5 * ldl
+        k_sp = scipy.sparse.csr_matrix(k_eff)
+        sup = scipy.sparse.kron(ident, k_sp) + scipy.sparse.kron(k_sp.conj(), ident)
+        for L, _ in self._pairs:
             l_sp = scipy.sparse.csr_matrix(L)
-            p_sp = scipy.sparse.csr_matrix(ldl)
-            sup = (
-                sup
-                + scipy.sparse.kron(l_sp.conj(), l_sp)
-                - 0.5 * scipy.sparse.kron(ident, p_sp)
-                - 0.5 * scipy.sparse.kron(p_sp.T, ident)
-            )
-        return sup.toarray()
+            sup = sup + scipy.sparse.kron(l_sp.conj(), l_sp)
+        return scipy.sparse.csc_matrix(sup)
 
 
 def build_liouvillian(hamiltonian: np.ndarray, jumps: Sequence[np.ndarray]) -> Liouvillian:
@@ -287,8 +282,10 @@ def steady_state(
 ) -> np.ndarray:
     """Solve for the unique trace-one fixed point of the generator.
 
-    dense_null extracts the eigenvector of the eigenvalue nearest zero from a
-    full eigendecomposition of the superoperator matrix; evolve integrates
+    dense_null certifies that the kernel of the sparse superoperator is
+    one-dimensional with a shift-invert eigensolve, then finds the state with
+    one sparse LU solve in which the trace condition replaces the redundant
+    first row (the "direct" method); evolve integrates
     from the maximally mixed state until the per-step change stalls. Both
     paths end with trace normalization, Hermitization, and a residual check.
     """
@@ -318,21 +315,43 @@ def _finalize_steady(liouv: Liouvillian, rho: np.ndarray, cfg: SolverConfig, evo
     return rho
 
 
+def _zero_mode_magnitudes(matrix: scipy.sparse.csc_matrix) -> np.ndarray:
+    """Magnitudes of the two eigenvalues nearest the shift, smallest first."""
+    n = matrix.shape[0]
+    k = 2
+    if n <= k + 1:
+        # ARPACK needs k < n - 1
+        values = np.linalg.eigvals(matrix.toarray())
+    else:
+        rng = np.random.default_rng(_CERTIFICATE_SEED)
+        v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        values = scipy.sparse.linalg.eigs(
+            matrix, k=k, sigma=_CERTIFICATE_SHIFT, v0=v0, return_eigenvectors=False
+        )
+    return np.sort(np.abs(values))[:k]
+
+
 def _steady_dense_null(liouv: Liouvillian, cfg: SolverConfig) -> np.ndarray:
-    values, vectors = scipy.linalg.eig(liouv.matrix, check_finite=False)
-    magnitudes = np.abs(values)
-    n_zero = int(np.count_nonzero(magnitudes < cfg.unique_tol))
-    if n_zero >= 2:
+    matrix = liouv.matrix
+    magnitudes = _zero_mode_magnitudes(matrix)
+    if np.count_nonzero(magnitudes < cfg.unique_tol) >= 2:
         raise NonUniqueSteadyStateError(
-            f"found {n_zero} eigenvalues below {cfg.unique_tol:.1e}; "
+            f"the two eigenvalues nearest zero have magnitudes {magnitudes[0]:.3e} "
+            f"and {magnitudes[1]:.3e}, both below {cfg.unique_tol:.1e}; "
             "the steady state is not unique"
         )
-    # among numerically tied candidates, prefer the one with the largest trace
-    floor = magnitudes.min()
-    candidates = np.flatnonzero(magnitudes <= floor + 1e-14)
-    traces = [abs(np.trace(unvectorize(vectors[:, i]))) for i in candidates]
-    best = candidates[int(np.argmax(traces))]
-    rho = unvectorize(vectors[:, best])
+    # Trace preservation makes the rows of the diagonal entries sum to zero,
+    # so row 0 is redundant; the trace row vec(I)^T takes its place. The
+    # patched matrix is nonsingular exactly when the kernel is one-dimensional.
+    dim, n = liouv.dim, matrix.shape[0]
+    trace_row = scipy.sparse.csr_matrix(
+        (np.ones(dim), (np.zeros(dim, dtype=int), np.arange(dim) * (dim + 1))),
+        shape=(1, n),
+    )
+    patched = scipy.sparse.vstack([trace_row, matrix[1:]], format="csc")
+    rhs = np.zeros(n, dtype=complex)
+    rhs[0] = 1.0
+    rho = unvectorize(scipy.sparse.linalg.splu(patched).solve(rhs))
     return _finalize_steady(liouv, rho, cfg, evolve_mode=False)
 
 

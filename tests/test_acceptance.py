@@ -1,9 +1,8 @@
 """Acceptance gate: one test per criterion, each at its stated tolerance.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to get one pass/fail line
-per criterion. Steady states are cached module-wide, so the expensive N=6
-dense solves run exactly once; expect a total runtime around 15 minutes,
-dominated by the full eigendecompositions of the 4096x4096 superoperator.
+per criterion. Steady states are cached module-wide, so each N=6 solve runs
+exactly once; expect a total runtime around 11 seconds on a 2-core machine.
 """
 
 import functools

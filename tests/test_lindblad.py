@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from chainflux.chain import ChainSpec, GradedProfile, build_hamiltonian, expand_graded
 from chainflux.errors import (
@@ -29,6 +30,7 @@ from chainflux.lindblad import (
     validate_state,
     vectorize,
 )
+from chainflux.lindblad import _zero_mode_magnitudes
 from chainflux.pauli import embed, pauli
 
 
@@ -134,7 +136,7 @@ def test_single_site_damping_superoperator_by_hand():
         ],
         dtype=complex,
     )
-    assert np.allclose(liouv.matrix, expected, atol=1e-15)
+    assert np.allclose(liouv.matrix.toarray(), expected, atol=1e-15)
     rho = steady_state(liouv, method="dense_null")
     assert np.allclose(rho, np.diag([0.0, 1.0]), atol=1e-12)
     assert expectation(rho, pauli("z")) == pytest.approx(-1.0, abs=1e-12)
@@ -165,7 +167,7 @@ def test_trace_preservation_left_null_vector():
         b = tuple(rng.uniform(-1, 1, n_sites))
         spec = ChainSpec(n_sites, alpha=1.0, delta=deltas, b_field=b)
         liouv = build_liouvillian(build_hamiltonian(spec), jump_operators(diss, n_sites))
-        left = vectorize(np.eye(liouv.dim)) @ liouv.matrix
+        left = vectorize(np.eye(liouv.dim)) @ liouv.matrix.toarray()
         assert np.abs(left).max() < 1e-10
 
 
@@ -226,7 +228,7 @@ def test_steady_state_unique_for_randomized_parameters():
             diss = TwistedXY(rng.uniform(-0.9, 0.9), rng.uniform(-0.9, 0.9),
                              rate=rng.uniform(0.5, 2.0))
         liouv = build_liouvillian(build_hamiltonian(spec), jump_operators(diss, n_sites))
-        values = np.linalg.eigvals(liouv.matrix)
+        values = np.linalg.eigvals(liouv.matrix.toarray())
         assert np.count_nonzero(np.abs(values) < cfg.unique_tol) == 1
         steady_state(liouv, method="dense_null")  # must not raise
 
@@ -236,6 +238,44 @@ def test_pure_dephasing_detected_as_non_unique():
     liouv = build_liouvillian(np.zeros((2, 2)), [pauli("z")])
     with pytest.raises(NonUniqueSteadyStateError):
         steady_state(liouv, method="dense_null")
+
+
+def test_dense_null_matches_full_eig_oracle():
+    # independent oracle: null vector of a full dense eigendecomposition
+    rng = np.random.default_rng(25)
+    for trial in range(8):
+        n_sites = int(rng.integers(3, 5))
+        profile = GradedProfile(rng.uniform(0.8, 1.4), rng.uniform(0.1, 0.5))
+        spec = expand_graded(profile, n_sites, b_field=rng.uniform(0.2, 1.0))
+        if trial % 2 == 0:
+            diss = TargetZ(rng.uniform(-0.9, 0.9), rng.uniform(-0.9, 0.9),
+                           gamma=rng.uniform(0.5, 2.0))
+        else:
+            diss = TwistedXY(rng.uniform(-0.9, 0.9), rng.uniform(-0.9, 0.9),
+                             rate=rng.uniform(0.5, 2.0))
+        liouv = build_liouvillian(build_hamiltonian(spec), jump_operators(diss, n_sites))
+        values, vectors = scipy.linalg.eig(liouv.matrix.toarray())
+        order = np.argsort(np.abs(values))
+        oracle = unvectorize(vectors[:, order[0]])
+        oracle = oracle / np.trace(oracle)
+        rho = steady_state(liouv, method="dense_null")
+        assert np.abs(rho - oracle).max() < 1e-12, (trial, diss)
+        magnitudes = _zero_mode_magnitudes(liouv.matrix)
+        assert magnitudes[0] < SolverConfig().unique_tol
+        assert magnitudes[1] == pytest.approx(abs(values[order[1]]), rel=1e-8)
+
+
+@pytest.mark.parametrize("n_sites", [3, 4])
+@pytest.mark.parametrize("diss", [TargetZ(0.5, -0.5), TwistedXY(0.6, -0.3)])
+@pytest.mark.parametrize("method", ["dense_null", "auto"])
+def test_decoupled_chain_detected_as_non_unique(n_sites, diss, method):
+    # alpha = 0 leaves the interior z-spins conserved: one steady state per sector
+    spec = ChainSpec(
+        n_sites, alpha=0.0, delta=tuple(np.linspace(0.5, 1.5, n_sites - 1)),
+        b_field=(0.3,) * n_sites,
+    )
+    with pytest.raises(NonUniqueSteadyStateError, match=r"magnitudes \S+ and \S+"):
+        chain_steady_state(spec, diss, method=method)
 
 
 def test_method_resolution_and_size_guards():
