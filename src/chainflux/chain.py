@@ -18,27 +18,18 @@ from .pauli import embed, pauli
 
 @dataclass(frozen=True)
 class ChainSpec:
-    """Full parameterization of the spin chain.
-
-    ``alpha_prime`` is stored for future use but must equal ``alpha``: the
-    current observables implemented here are only valid in the XXZ case,
-    and a silent mismatch would produce wrong currents.
-    """
+    """Full parameterization of the XXZ spin chain: one XY coupling ``alpha``
+    for both the XX and YY terms, per-bond z-couplings and per-site fields."""
 
     n_sites: int
     alpha: float
     delta: tuple[float, ...]
     b_field: tuple[float, ...]
-    alpha_prime: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "delta", tuple(float(d) for d in self.delta))
         object.__setattr__(self, "b_field", tuple(float(b) for b in self.b_field))
-        if self.alpha_prime is None:
-            object.__setattr__(self, "alpha_prime", self.alpha)
-        else:
-            object.__setattr__(self, "alpha_prime", float(self.alpha_prime))
         if self.n_sites < 1:
             raise SpecError(f"n_sites must be >= 1, got {self.n_sites}")
         if len(self.delta) != self.n_sites - 1:
@@ -48,10 +39,6 @@ class ChainSpec:
         if len(self.b_field) != self.n_sites:
             raise SpecError(
                 f"b_field needs {self.n_sites} site values, got {len(self.b_field)}"
-            )
-        if self.alpha_prime != self.alpha:
-            raise SpecError(
-                "alpha_prime must equal alpha: the current observables assume the XXZ case"
             )
 
     @property
@@ -117,7 +104,7 @@ def build_hamiltonian(spec: ChainSpec) -> np.ndarray:
     h = np.zeros((spec.dim, spec.dim), dtype=complex)
     for j, delta in enumerate(spec.delta, start=1):
         h += spec.alpha * _bond(sx, sx, j, n)
-        h += spec.alpha_prime * _bond(sy, sy, j, n)
+        h += spec.alpha * _bond(sy, sy, j, n)
         h += delta * _bond(sz, sz, j, n)
     for j, b in enumerate(spec.b_field, start=1):
         if b != 0.0:

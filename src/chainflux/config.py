@@ -36,20 +36,13 @@ SPIN_SWEEP_PARAMETERS = {
 }
 CLASSICAL_SWEEP_PARAMETERS = ("eps", "t_left", "t_right", "alpha_exp")
 
-_SOLVER_FLOAT_KEYS = (
-    "residual_tol",
-    "unique_tol",
-    "trace_tol",
-    "hermiticity_tol",
-    "positivity_tol",
-    "imag_tol",
-    "conjugation_tol",
-    "sign_floor",
-    "evolve_dt",
-    "evolve_conv_tol",
-    "trace_drift_tol",
+# SolverConfig fields with an int default are integer knobs; the rest are floats
+_SOLVER_INT_KEYS = tuple(
+    f.name for f in dataclasses.fields(SolverConfig) if isinstance(f.default, int)
 )
-_SOLVER_INT_KEYS = ("dense_max_sites", "evolve_max_sites", "evolve_max_steps", "evolve_min_steps")
+_SOLVER_FLOAT_KEYS = tuple(
+    f.name for f in dataclasses.fields(SolverConfig) if not isinstance(f.default, int)
+)
 
 
 def _require_keys(section: dict, allowed: set[str], name: str) -> None:
@@ -109,8 +102,7 @@ class ExperimentConfig:
 
 
 def _parse_model(section: dict) -> ModelSection:
-    allowed = {"n_sites", "alpha", "alpha_prime", "delta", "b_field", "b_uniform",
-               "delta_mean", "delta_step"}
+    allowed = {"n_sites", "alpha", "delta", "b_field", "b_uniform", "delta_mean", "delta_step"}
     _require_keys(section, allowed, "model")
     for key in ("n_sites", "alpha"):
         if key not in section:
@@ -162,7 +154,6 @@ def _parse_model(section: dict) -> ModelSection:
         alpha=alpha,
         delta=tuple(float(v) for v in deltas),
         b_field=b_field,
-        alpha_prime=section.get("alpha_prime"),
     )
     return ModelSection(chain=chain, graded=None, b_uniform=b_uniform)
 
@@ -353,7 +344,6 @@ def _resolve_echo(model, bath, classical, solver, method, workers, sweep, output
         echo["model"] = {
             "n_sites": model.chain.n_sites,
             "alpha": model.chain.alpha,
-            "alpha_prime": model.chain.alpha_prime,
             "delta": list(model.chain.delta),
             "b_field": list(model.chain.b_field),
         }
@@ -396,7 +386,7 @@ def apply_sweep_value(config: ExperimentConfig, value: float) -> tuple[ChainSpec
     if name == "b":
         return dataclasses.replace(chain, b_field=(value,) * chain.n_sites), bath
     if name == "alpha":
-        return dataclasses.replace(chain, alpha=value, alpha_prime=None), bath
+        return dataclasses.replace(chain, alpha=value), bath
     if name in ("delta_mean", "delta_step"):
         profile = dataclasses.replace(config.model.graded, **{name: value})
         chain = expand_graded(

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -282,12 +282,11 @@ def steady_state(
 ) -> np.ndarray:
     """Solve for the unique trace-one fixed point of the generator.
 
-    dense_null certifies that the kernel of the sparse superoperator is
-    one-dimensional with a shift-invert eigensolve, then finds the state with
-    one sparse LU solve in which the trace condition replaces the redundant
-    first row (the "direct" method); evolve integrates
-    from the maximally mixed state until the per-step change stalls. Both
-    paths end with trace normalization, Hermitization, and a residual check.
+    dense_null takes the zero mode of one shift-invert eigensolve of the
+    sparse superoperator, after certifying that the kernel is
+    one-dimensional; evolve integrates from the maximally mixed state until
+    the per-step change stalls. Both paths end with trace normalization,
+    Hermitization, and a residual check.
     """
     cfg = config or SolverConfig()
     if not liouv.jumps:
@@ -315,44 +314,32 @@ def _finalize_steady(liouv: Liouvillian, rho: np.ndarray, cfg: SolverConfig, evo
     return rho
 
 
-def _zero_mode_magnitudes(matrix: scipy.sparse.csc_matrix) -> np.ndarray:
-    """Magnitudes of the two eigenvalues nearest the shift, smallest first."""
+def _zero_mode(matrix: scipy.sparse.csc_matrix) -> tuple[np.ndarray, np.ndarray]:
+    """Magnitudes of the two eigenvalues nearest the shift, smallest first,
+    and the eigenvector of the smallest one."""
     n = matrix.shape[0]
     k = 2
     if n <= k + 1:
         # ARPACK needs k < n - 1
-        values = np.linalg.eigvals(matrix.toarray())
+        values, vectors = np.linalg.eig(matrix.toarray())
     else:
         rng = np.random.default_rng(_CERTIFICATE_SEED)
         v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        values = scipy.sparse.linalg.eigs(
-            matrix, k=k, sigma=_CERTIFICATE_SHIFT, v0=v0, return_eigenvectors=False
-        )
-    return np.sort(np.abs(values))[:k]
+        values, vectors = scipy.sparse.linalg.eigs(matrix, k=k, sigma=_CERTIFICATE_SHIFT, v0=v0)
+    order = np.argsort(np.abs(values))[:k]
+    return np.abs(values[order]), vectors[:, order[0]]
 
 
 def _steady_dense_null(liouv: Liouvillian, cfg: SolverConfig) -> np.ndarray:
-    matrix = liouv.matrix
-    magnitudes = _zero_mode_magnitudes(matrix)
+    magnitudes, vector = _zero_mode(liouv.matrix)
     if np.count_nonzero(magnitudes < cfg.unique_tol) >= 2:
         raise NonUniqueSteadyStateError(
             f"the two eigenvalues nearest zero have magnitudes {magnitudes[0]:.3e} "
             f"and {magnitudes[1]:.3e}, both below {cfg.unique_tol:.1e}; "
             "the steady state is not unique"
         )
-    # Trace preservation makes the rows of the diagonal entries sum to zero,
-    # so row 0 is redundant; the trace row vec(I)^T takes its place. The
-    # patched matrix is nonsingular exactly when the kernel is one-dimensional.
-    dim, n = liouv.dim, matrix.shape[0]
-    trace_row = scipy.sparse.csr_matrix(
-        (np.ones(dim), (np.zeros(dim, dtype=int), np.arange(dim) * (dim + 1))),
-        shape=(1, n),
-    )
-    patched = scipy.sparse.vstack([trace_row, matrix[1:]], format="csc")
-    rhs = np.zeros(n, dtype=complex)
-    rhs[0] = 1.0
-    rho = unvectorize(scipy.sparse.linalg.splu(patched).solve(rhs))
-    return _finalize_steady(liouv, rho, cfg, evolve_mode=False)
+    # the zero mode of a certified one-dimensional kernel is the steady state
+    return _finalize_steady(liouv, unvectorize(vector), cfg, evolve_mode=False)
 
 
 def _spectral_bound(liouv: Liouvillian) -> float:
@@ -481,12 +468,30 @@ def currents_profile(
     )
 
 
+# Bound of the steady-state cache. A symmetry certification on the default
+# three-point drive grid needs 6 distinct states (a forward/inverted pair per
+# grid point, the bath's own drive among them), so 8 holds a whole one.
+_STEADY_CACHE_SIZE = 8
+
+
 def chain_steady_state(
     spec: ChainSpec,
     diss: DissipatorSpec,
     method: str = "auto",
     config: SolverConfig | None = None,
 ) -> np.ndarray:
-    """Convenience wrapper: Hamiltonian + jumps + steady-state solve."""
+    """Hamiltonian + jumps + steady-state solve, memoised per argument set.
+
+    The returned array is shared between calls and therefore read-only.
+    """
+    return _cached_chain_steady_state(spec, diss, method, config or SolverConfig())
+
+
+@lru_cache(maxsize=_STEADY_CACHE_SIZE)
+def _cached_chain_steady_state(
+    spec: ChainSpec, diss: DissipatorSpec, method: str, cfg: SolverConfig
+) -> np.ndarray:
     liouv = build_liouvillian(build_hamiltonian(spec), jump_operators(diss, spec.n_sites))
-    return steady_state(liouv, method=method, config=config)
+    rho = steady_state(liouv, method=method, config=cfg)
+    rho.flags.writeable = False
+    return rho

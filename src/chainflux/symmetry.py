@@ -50,17 +50,14 @@ def u_r(n_sites: int) -> np.ndarray:
 class BathInversion:
     """A dissipator spec together with its bath-inverted counterpart.
 
-    ``site_assignment`` records which jump family sits at the first and last
-    site in each spec; for the target-polarization family inversion is a
-    plain swap of the two drivings, for twisted XY the two operator pairs
-    trade places (keeping their own parameters).
+    For the target-polarization family inversion is a plain swap of the two
+    drivings; for twisted XY the two operator pairs trade places (keeping
+    their own parameters).
     """
 
     family: str
     original: DissipatorSpec
     inverted: DissipatorSpec
-    original_assignment: tuple[str, str]
-    inverted_assignment: tuple[str, str]
 
 
 def invert_baths(spec: DissipatorSpec) -> BathInversion:
@@ -69,20 +66,14 @@ def invert_baths(spec: DissipatorSpec) -> BathInversion:
             family="target_z",
             original=spec,
             inverted=TargetZ(f_left=spec.f_right, f_right=spec.f_left, gamma=spec.gamma),
-            original_assignment=("left-target", "right-target"),
-            inverted_assignment=("right-target", "left-target"),
         )
     if isinstance(spec, TwistedXY):
-        inverted = TwistedXY(
-            k=spec.k, k_prime=spec.k_prime, rate=spec.rate, swapped=not spec.swapped
-        )
-        pair = ("W", "V") if not spec.swapped else ("V", "W")
         return BathInversion(
             family="twisted_xy",
             original=spec,
-            inverted=inverted,
-            original_assignment=pair,
-            inverted_assignment=pair[::-1],
+            inverted=TwistedXY(
+                k=spec.k, k_prime=spec.k_prime, rate=spec.rate, swapped=not spec.swapped
+            ),
         )
     raise SpecError(f"unknown dissipator spec {type(spec).__name__}")
 

@@ -175,11 +175,6 @@ def test_spec_length_validation():
         ChainSpec(3, alpha=1.0, delta=(1.0, 1.0), b_field=(0.0,) * 2)
 
 
-def test_spec_rejects_xyz_case():
-    with pytest.raises(SpecError):
-        ChainSpec(2, alpha=1.0, delta=(1.0,), b_field=(0.0, 0.0), alpha_prime=0.9)
-
-
 def test_single_site_chain_allowed():
     spec = ChainSpec(1, alpha=0.0, delta=(), b_field=(0.4,))
     assert np.array_equal(build_hamiltonian(spec), 0.4 * pauli("z"))

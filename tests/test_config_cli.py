@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import chainflux.lindblad as lindblad
 from chainflux.cli import main
 from chainflux.config import apply_sweep_value, load_config
 from chainflux.errors import SpecError
@@ -53,12 +54,14 @@ def test_load_config_twisted_defaults(tmp_path):
 
 
 def test_load_config_rejects_unknown_keys(tmp_path):
-    path = _write_config(tmp_path, "c.json", {
-        "model": {**GRADED_MODEL, "typo_key": 1},
-        "bath": {"family": "target_z", "f": 0.5},
-    })
-    with pytest.raises(SpecError):
-        load_config(path)
+    # one XY coupling, alpha: alpha_prime is not a model key
+    for key, value in (("typo_key", 1), ("alpha_prime", 1.0)):
+        path = _write_config(tmp_path, "c.json", {
+            "model": {**GRADED_MODEL, key: value},
+            "bath": {"family": "target_z", "f": 0.5},
+        })
+        with pytest.raises(SpecError, match=key):
+            load_config(path)
 
 
 def test_load_config_rejects_unknown_sweep_parameter(tmp_path):
@@ -210,6 +213,31 @@ def test_cmd_symmetry_twisted_conjugation_passes(tmp_path):
     _, _, rows = _read_csv(tmp_path / "sym.csv")
     conjugation = [r for r in rows if r["check"] == "conjugation"]
     assert conjugation[0]["passed"] == "true"
+
+
+@pytest.mark.parametrize("bath, distinct", [
+    # default scan grid (0.2, 0.5, 0.8): one forward/inverted pair per drive
+    ({"family": "target_z", "f": 0.5}, 6),
+    # the twisted_xy scan covers only the bath's own k: one pair
+    ({"family": "twisted_xy", "k": 0.6}, 2),
+])
+def test_cmd_symmetry_solves_each_distinct_state_once(tmp_path, monkeypatch, bath, distinct):
+    lindblad._cached_chain_steady_state.cache_clear()
+    solves = []
+    original = lindblad.steady_state
+
+    def counting(*args, **kwargs):
+        solves.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(lindblad, "steady_state", counting)
+    config = _write_config(tmp_path, "c.json", {
+        "model": GRADED_MODEL,
+        "bath": bath,
+        "output": {"path": str(tmp_path / "sym.csv")},
+    })
+    assert main(["symmetry", "--config", str(config)]) == 0
+    assert len(solves) == distinct
 
 
 def test_cmd_symmetry_refuses_field(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import chainflux.lindblad as lindblad
 from chainflux.chain import ChainSpec, GradedProfile, build_hamiltonian, expand_graded
 from chainflux.errors import (
     NoConvergenceError,
@@ -30,7 +31,7 @@ from chainflux.lindblad import (
     validate_state,
     vectorize,
 )
-from chainflux.lindblad import _zero_mode_magnitudes
+from chainflux.lindblad import _cached_chain_steady_state, _zero_mode
 from chainflux.pauli import embed, pauli
 
 
@@ -200,6 +201,28 @@ def test_two_site_method_cross_validation():
         assert abs(expectation(rho_dense, sz) - expectation(rho_evolve, sz)) < 1e-8
 
 
+def test_chain_steady_state_is_memoised_and_read_only(monkeypatch):
+    _cached_chain_steady_state.cache_clear()
+    methods = []
+
+    def counting(liouv, method="auto", config=None):
+        methods.append(method)
+        return steady_state(liouv, method=method, config=config)
+
+    monkeypatch.setattr(lindblad, "steady_state", counting)
+    spec = expand_graded(GradedProfile(1.0, 0.5), 3)
+    diss = TargetZ(0.5, -0.5)
+    first = chain_steady_state(spec, diss)
+    # config=None and the default SolverConfig are one cache key
+    assert chain_steady_state(spec, diss, config=SolverConfig()) is first
+    assert methods == ["auto"]
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0, 0] = 0.0
+    chain_steady_state(spec, diss, method="dense_null")
+    assert methods == ["auto", "dense_null"]
+
+
 def test_three_site_graded_residual_and_validity():
     spec = expand_graded(GradedProfile(1.0, 0.5), 3)
     liouv = build_liouvillian(
@@ -260,7 +283,7 @@ def test_dense_null_matches_full_eig_oracle():
         oracle = oracle / np.trace(oracle)
         rho = steady_state(liouv, method="dense_null")
         assert np.abs(rho - oracle).max() < 1e-12, (trial, diss)
-        magnitudes = _zero_mode_magnitudes(liouv.matrix)
+        magnitudes, _ = _zero_mode(liouv.matrix)
         assert magnitudes[0] < SolverConfig().unique_tol
         assert magnitudes[1] == pytest.approx(abs(values[order[1]]), rel=1e-8)
 

@@ -56,8 +56,6 @@ def test_rotation_single_site_table():
 def test_invert_target_z_swaps_drivings():
     inv = invert_baths(TargetZ(f_left=0.4, f_right=-0.4, gamma=1.3))
     assert inv.inverted == TargetZ(f_left=-0.4, f_right=0.4, gamma=1.3)
-    assert inv.original_assignment == ("left-target", "right-target")
-    assert inv.inverted_assignment == ("right-target", "left-target")
 
 
 def test_invert_target_z_fixed_point():
@@ -69,8 +67,6 @@ def test_invert_twisted_swaps_pair_placement():
     diss = TwistedXY(k=0.3, k_prime=-0.3)
     inv = invert_baths(diss)
     assert inv.inverted.swapped
-    assert inv.original_assignment == ("W", "V")
-    assert inv.inverted_assignment == ("V", "W")
     # inverting twice restores the original placement
     assert invert_baths(inv.inverted).inverted == diss
 
