@@ -99,13 +99,22 @@ def steady_temps(
 ) -> tuple[float, ...]:
     """Interior temperatures making every bond carry the same flux.
 
-    Damped Newton iteration on the N-2 flux-balance residuals, starting from
-    the linear interpolation between the edge temperatures. For alpha_exp = 0
-    the system is linear and one step lands on the solution.
+    For alpha_exp = 0 the bonds are fixed resistances r_j = c_j + c_{j+1} in
+    series, so the profile is exact: flux = (T_L - T_R) / sum_j r_j and
+    T_{j+1} = T_j - flux * r_j. Otherwise damped Newton iteration on the N-2
+    flux-balance residuals, starting from the linear interpolation between
+    the edge temperatures.
     """
     n = spec.n_sites
     if n < 3:
         raise SpecError(f"steady_temps needs at least 3 sites, got {n}")
+    if spec.alpha_exp == 0.0:
+        resistances = [a + b for a, b in zip(spec.c, spec.c[1:])]
+        flux = (spec.t_left - spec.t_right) / sum(resistances)
+        temps = [spec.t_left]
+        for r in resistances[:-1]:
+            temps.append(temps[-1] - flux * r)
+        return (*temps, spec.t_right)
 
     def residuals(interior: np.ndarray) -> np.ndarray:
         temps = (spec.t_left, *interior, spec.t_right)

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .chain import ChainSpec, build_hamiltonian
+from .chain import ChainSpec
 from .classical import LinearizedSetup, conductivity_gap, rectification_experiment
 from .config import (
     ExperimentConfig,
@@ -34,17 +34,13 @@ from .config import (
 )
 from .errors import ChainFluxError, SpecError
 from .lindblad import (
+    STEADY_METHODS,
     DissipatorSpec,
-    SolverConfig,
+    SteadyState,
     TargetZ,
-    TwistedXY,
-    build_liouvillian,
+    chain_steady_state,
     currents_profile,
     expectation,
-    jump_operators,
-    liouvillian_residual,
-    resolve_method,
-    steady_state,
 )
 from .pauli import embed, pauli
 from .symmetry import (
@@ -83,25 +79,8 @@ def _model_cells(chain: ChainSpec) -> dict:
 
 
 def _bath_cells(diss: DissipatorSpec) -> dict:
-    if isinstance(diss, TargetZ):
-        return {
-            "bath_family": "target_z",
-            "gamma": diss.gamma,
-            "f_left": diss.f_left,
-            "f_right": diss.f_right,
-            "k": None,
-            "k_prime": None,
-            "rate": None,
-        }
-    return {
-        "bath_family": "twisted_xy",
-        "gamma": None,
-        "f_left": None,
-        "f_right": None,
-        "k": diss.k,
-        "k_prime": diss.k_prime,
-        "rate": diss.rate,
-    }
+    # the other family's columns are absent and stay empty in the table
+    return {"bath_family": diss.family, **dataclasses.asdict(diss)}
 
 
 def _write_table(output_path: str, fmt: str, columns: tuple[str, ...], rows: list[dict],
@@ -136,16 +115,8 @@ def _require(condition: bool, message: str) -> None:
         raise SpecError(message)
 
 
-def _solve_with_diagnostics(chain: ChainSpec, diss: DissipatorSpec, method: str,
-                            cfg: SolverConfig):
-    """Steady state plus the CLI diagnostics (residual, resolved method, wall time)."""
-    liouv = build_liouvillian(build_hamiltonian(chain), jump_operators(diss, chain.n_sites))
-    resolved = resolve_method(liouv.dim, method, cfg)
-    start = time.perf_counter()
-    rho = steady_state(liouv, method=resolved, config=cfg)
-    wall_ms = round((time.perf_counter() - start) * 1e3, 3)
-    residual = liouvillian_residual(liouv, rho)
-    return rho, residual, resolved, wall_ms
+def _diagnostic_cells(solved: SteadyState) -> dict:
+    return {"residual": solved.residual, "method": solved.method, "wall_ms": solved.wall_ms}
 
 
 def _map_grid(evaluate, points, workers: int) -> list:
@@ -161,12 +132,11 @@ def cmd_steady(config: ExperimentConfig) -> list[dict] | None:
     _require(config.model is not None, "the steady command needs a 'model' section")
     _require(config.bath is not None, "the steady command needs a 'bath' section")
     chain = config.model.chain
-    rho, residual, method, wall_ms = _solve_with_diagnostics(
-        chain, config.bath, config.method, config.solver
-    )
+    solved = chain_steady_state(chain, config.bath, config.method, config.solver)
+    rho = solved.rho
     profile = currents_profile(rho, chain, config.solver)
     inputs = {**_model_cells(chain), **_bath_cells(config.bath)}
-    diagnostics = {"residual": residual, "method": method, "wall_ms": wall_ms}
+    diagnostics = _diagnostic_cells(solved)
     sz = pauli("z")
     rows = []
     for site in range(1, chain.n_sites + 1):
@@ -196,14 +166,11 @@ def cmd_symmetry(config: ExperimentConfig) -> list[dict]:
     cfg = config.solver
     diss = config.bath
     inputs = {**_model_cells(chain), **_bath_cells(diss)}
-    if isinstance(diss, TargetZ):
-        drive = diss.f_left
-        grid = config.sweep.grid if config.sweep is not None else (0.2, 0.5, 0.8)
-        family = "target_z"
+    drive = diss.drive
+    if config.sweep is not None:
+        grid = config.sweep.grid
     else:
-        drive = diss.k
-        grid = config.sweep.grid if config.sweep is not None else (diss.k,)
-        family = "twisted_xy"
+        grid = (0.2, 0.5, 0.8) if isinstance(diss, TargetZ) else (drive,)
 
     rows = []
 
@@ -233,10 +200,7 @@ def cmd_symmetry(config: ExperimentConfig) -> list[dict]:
     if chain.n_sites >= 3:
         start = time.perf_counter()
         scan = energy_current_direction_scan(
-            chain, grid, family=family,
-            gamma=diss.gamma if isinstance(diss, TargetZ) else 1.0,
-            rate=diss.rate if isinstance(diss, TwistedXY) else 1.0,
-            method=config.method, config=cfg,
+            chain, grid, bath=diss, method=config.method, config=cfg
         )
         wall_ms = round((time.perf_counter() - start) * 1e3, 3)
         for row in scan.rows:
@@ -265,10 +229,8 @@ def cmd_sweep(config: ExperimentConfig) -> list[dict]:
 
     def evaluate(value: float) -> dict:
         chain, diss = apply_sweep_value(config, value)
-        rho, residual, method, wall_ms = _solve_with_diagnostics(
-            chain, diss, config.method, config.solver
-        )
-        profile = currents_profile(rho, chain, config.solver)
+        solved = chain_steady_state(chain, diss, config.method, config.solver)
+        profile = currents_profile(solved.rho, chain, config.solver)
         n = chain.n_sites
         mid_bond = n // 2 - 1
         mid_site = (len(profile.energy_xxz) - 1) // 2
@@ -283,9 +245,7 @@ def cmd_sweep(config: ExperimentConfig) -> list[dict]:
             "spin_spread": profile.spin_spread,
             "energy_xxz_spread": profile.energy_xxz_spread,
             "energy_total_spread": profile.energy_total_spread,
-            "residual": residual,
-            "method": method,
-            "wall_ms": wall_ms,
+            **_diagnostic_cells(solved),
         }
 
     return _map_grid(evaluate, config.sweep.grid, config.workers)
@@ -372,7 +332,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="output format (overrides output.format)")
         sub.add_argument("--workers", type=int,
                          help="concurrent grid evaluations (overrides solver.workers)")
-        sub.add_argument("--method", choices=("auto", "dense_null", "evolve"),
+        sub.add_argument("--method", choices=STEADY_METHODS,
                          help="steady-state solver (overrides solver.method)")
     return parser
 

@@ -22,13 +22,13 @@ OUTPUT_FORMATS = ("csv", "json")
 
 # sweepable knobs and the bath family / model form they need
 SPIN_SWEEP_PARAMETERS = {
-    "f": "target_z",
-    "f_left": "target_z",
-    "f_right": "target_z",
-    "gamma": "target_z",
-    "k": "twisted_xy",
-    "k_prime": "twisted_xy",
-    "rate": "twisted_xy",
+    "f": TargetZ.family,
+    "f_left": TargetZ.family,
+    "f_right": TargetZ.family,
+    "gamma": TargetZ.family,
+    "k": TwistedXY.family,
+    "k_prime": TwistedXY.family,
+    "rate": TwistedXY.family,
     "b": None,
     "alpha": None,
     "delta_mean": "graded",
@@ -162,7 +162,7 @@ def _parse_bath(section: dict) -> DissipatorSpec:
     if "family" not in section:
         raise SpecError("'bath.family' is required")
     family = section["family"]
-    if family == "target_z":
+    if family == TargetZ.family:
         _require_keys(section, {"family", "gamma", "f", "f_left", "f_right"}, "bath")
         has_shorthand = "f" in section
         has_explicit = "f_left" in section or "f_right" in section
@@ -178,7 +178,7 @@ def _parse_bath(section: dict) -> DissipatorSpec:
             raise SpecError("'bath' needs 'f' or both 'f_left' and 'f_right'")
         gamma = float(_number(section, "gamma", "bath")) if "gamma" in section else 1.0
         return TargetZ(f_left=f_left, f_right=f_right, gamma=gamma)
-    if family == "twisted_xy":
+    if family == TwistedXY.family:
         _require_keys(section, {"family", "k", "k_prime", "rate"}, "bath")
         if "k" not in section:
             raise SpecError("'bath.k' is required for the twisted_xy family")
@@ -271,10 +271,10 @@ def _parse_sweep(section: dict, *, classical: bool) -> SweepSection:
 def _check_sweep_compatibility(cfg_sweep: SweepSection, model: ModelSection | None,
                                bath: DissipatorSpec | None) -> None:
     requirement = SPIN_SWEEP_PARAMETERS[cfg_sweep.parameter]
-    if requirement == "target_z" and not isinstance(bath, TargetZ):
-        raise SpecError(f"sweep parameter {cfg_sweep.parameter!r} needs a target_z bath")
-    if requirement == "twisted_xy" and not isinstance(bath, TwistedXY):
-        raise SpecError(f"sweep parameter {cfg_sweep.parameter!r} needs a twisted_xy bath")
+    if requirement in (TargetZ.family, TwistedXY.family) and (
+        bath is None or bath.family != requirement
+    ):
+        raise SpecError(f"sweep parameter {cfg_sweep.parameter!r} needs a {requirement} bath")
     if requirement == "graded" and (model is None or model.graded is None):
         raise SpecError(
             f"sweep parameter {cfg_sweep.parameter!r} needs the graded model form"
@@ -351,8 +351,7 @@ def _resolve_echo(model, bath, classical, solver, method, workers, sweep, output
             echo["model"]["delta_mean"] = model.graded.delta_mean
             echo["model"]["delta_step"] = model.graded.delta_step
     if bath is not None:
-        echo["bath"] = {"family": "target_z" if isinstance(bath, TargetZ) else "twisted_xy",
-                        **dataclasses.asdict(bath)}
+        echo["bath"] = {"family": bath.family, **dataclasses.asdict(bath)}
     if classical is not None:
         echo["classical"] = {
             "c": list(classical.c),
@@ -377,12 +376,10 @@ def apply_sweep_value(config: ExperimentConfig, value: float) -> tuple[ChainSpec
     name = config.sweep.parameter
     chain = config.model.chain
     bath = config.bath
-    if name == "f":
-        return chain, dataclasses.replace(bath, f_left=value, f_right=-value)
+    if name in ("f", "k"):
+        return chain, bath.with_drive(value)
     if name in ("f_left", "f_right", "gamma", "k_prime", "rate"):
         return chain, dataclasses.replace(bath, **{name: value})
-    if name == "k":
-        return chain, dataclasses.replace(bath, k=value, k_prime=-value)
     if name == "b":
         return dataclasses.replace(chain, b_field=(value,) * chain.n_sites), bath
     if name == "alpha":

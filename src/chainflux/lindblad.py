@@ -14,10 +14,12 @@ which is verified against the direct matrix formula by the test suite.
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import time
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 import scipy.sparse
@@ -86,6 +88,8 @@ class TargetZ:
     nonnegative and f = +1 pins the spin fully up.
     """
 
+    family: ClassVar[str] = "target_z"
+
     f_left: float
     f_right: float
     gamma: float = 1.0
@@ -97,6 +101,14 @@ class TargetZ:
             )
         if self.gamma <= 0:
             raise SpecError(f"gamma must be positive, got {self.gamma}")
+
+    @property
+    def drive(self) -> float:
+        return self.f_left
+
+    def with_drive(self, drive: float) -> "TargetZ":
+        """The antisymmetric setting f_left = drive = -f_right, other fields kept."""
+        return dataclasses.replace(self, f_left=drive, f_right=-drive)
 
 
 @dataclass(frozen=True)
@@ -110,6 +122,8 @@ class TwistedXY:
     results do not depend on it.
     """
 
+    family: ClassVar[str] = "twisted_xy"
+
     k: float
     k_prime: float
     rate: float = 1.0
@@ -120,6 +134,14 @@ class TwistedXY:
             raise SpecError(f"|k| <= 1 required, got k={self.k}, k_prime={self.k_prime}")
         if self.rate <= 0:
             raise SpecError(f"rate must be positive, got {self.rate}")
+
+    @property
+    def drive(self) -> float:
+        return self.k
+
+    def with_drive(self, drive: float) -> "TwistedXY":
+        """The antisymmetric setting k = drive = -k_prime, other fields kept."""
+        return dataclasses.replace(self, k=drive, k_prime=-drive)
 
 
 DissipatorSpec = TargetZ | TwistedXY
@@ -277,9 +299,24 @@ def resolve_method(dim: int, method: str, config: SolverConfig | None = None) ->
     return method
 
 
+@dataclass(frozen=True)
+class SteadyState:
+    """A certified steady state and what its solve did.
+
+    ``method`` is the concrete solver 'auto' resolved to, ``residual`` the
+    sup-norm of the generator applied to ``rho``, and ``wall_ms`` the wall
+    time of the solve through its validation.
+    """
+
+    rho: np.ndarray
+    method: str
+    residual: float
+    wall_ms: float
+
+
 def steady_state(
     liouv: Liouvillian, method: str = "auto", config: SolverConfig | None = None
-) -> np.ndarray:
+) -> SteadyState:
     """Solve for the unique trace-one fixed point of the generator.
 
     dense_null takes the zero mode of one shift-invert eigensolve of the
@@ -295,12 +332,16 @@ def steady_state(
             "no unique fixed point"
         )
     resolved = resolve_method(liouv.dim, method, cfg)
+    start = time.perf_counter()
     if resolved == "dense_null":
-        return _steady_dense_null(liouv, cfg)
-    return _steady_evolve(liouv, cfg)
+        candidate = _dense_null_candidate(liouv, cfg)
+    else:
+        candidate = _evolve_candidate(liouv, cfg)
+    return _finalize_steady(liouv, candidate, cfg, resolved, start)
 
 
-def _finalize_steady(liouv: Liouvillian, rho: np.ndarray, cfg: SolverConfig, evolve_mode: bool):
+def _finalize_steady(liouv: Liouvillian, rho: np.ndarray, cfg: SolverConfig, method: str,
+                     start: float) -> SteadyState:
     tr = np.trace(rho)
     if abs(tr) < 1e-8:
         raise NumericalError(f"candidate steady state has near-zero trace {abs(tr):.3e}")
@@ -309,9 +350,10 @@ def _finalize_steady(liouv: Liouvillian, rho: np.ndarray, cfg: SolverConfig, evo
     residual = liouvillian_residual(liouv, rho)
     if residual > cfg.residual_tol:
         message = f"steady-state residual {residual:.3e} exceeds {cfg.residual_tol:.1e}"
-        raise NoConvergenceError(message) if evolve_mode else NumericalError(message)
+        raise NoConvergenceError(message) if method == "evolve" else NumericalError(message)
     validate_state(rho, cfg)
-    return rho
+    wall_ms = round((time.perf_counter() - start) * 1e3, 3)
+    return SteadyState(rho, method, residual, wall_ms)
 
 
 def _zero_mode(matrix: scipy.sparse.csc_matrix) -> tuple[np.ndarray, np.ndarray]:
@@ -330,7 +372,7 @@ def _zero_mode(matrix: scipy.sparse.csc_matrix) -> tuple[np.ndarray, np.ndarray]
     return np.abs(values[order]), vectors[:, order[0]]
 
 
-def _steady_dense_null(liouv: Liouvillian, cfg: SolverConfig) -> np.ndarray:
+def _dense_null_candidate(liouv: Liouvillian, cfg: SolverConfig) -> np.ndarray:
     magnitudes, vector = _zero_mode(liouv.matrix)
     if np.count_nonzero(magnitudes < cfg.unique_tol) >= 2:
         raise NonUniqueSteadyStateError(
@@ -339,7 +381,7 @@ def _steady_dense_null(liouv: Liouvillian, cfg: SolverConfig) -> np.ndarray:
             "the steady state is not unique"
         )
     # the zero mode of a certified one-dimensional kernel is the steady state
-    return _finalize_steady(liouv, unvectorize(vector), cfg, evolve_mode=False)
+    return unvectorize(vector)
 
 
 def _spectral_bound(liouv: Liouvillian) -> float:
@@ -350,16 +392,15 @@ def _spectral_bound(liouv: Liouvillian) -> float:
     return bound
 
 
-def _steady_evolve(liouv: Liouvillian, cfg: SolverConfig) -> np.ndarray:
+def _evolve_candidate(liouv: Liouvillian, cfg: SolverConfig) -> np.ndarray:
     dt = cfg.evolve_dt
     if dt is None:
         bound = _spectral_bound(liouv)
         dt = 1.0 / bound if bound > 0 else 1.0
     rho0 = np.eye(liouv.dim, dtype=complex) / liouv.dim
-    rho = evolve(
+    return evolve(
         liouv, rho0, dt, cfg.evolve_max_steps, stop_change=cfg.evolve_conv_tol, config=cfg
     )
-    return _finalize_steady(liouv, rho, cfg, evolve_mode=True)
 
 
 def evolve(
@@ -479,10 +520,10 @@ def chain_steady_state(
     diss: DissipatorSpec,
     method: str = "auto",
     config: SolverConfig | None = None,
-) -> np.ndarray:
+) -> SteadyState:
     """Hamiltonian + jumps + steady-state solve, memoised per argument set.
 
-    The returned array is shared between calls and therefore read-only.
+    The returned record is shared between calls, so its ``rho`` is read-only.
     """
     return _cached_chain_steady_state(spec, diss, method, config or SolverConfig())
 
@@ -490,8 +531,8 @@ def chain_steady_state(
 @lru_cache(maxsize=_STEADY_CACHE_SIZE)
 def _cached_chain_steady_state(
     spec: ChainSpec, diss: DissipatorSpec, method: str, cfg: SolverConfig
-) -> np.ndarray:
+) -> SteadyState:
     liouv = build_liouvillian(build_hamiltonian(spec), jump_operators(diss, spec.n_sites))
-    rho = steady_state(liouv, method=method, config=cfg)
-    rho.flags.writeable = False
-    return rho
+    solved = steady_state(liouv, method=method, config=cfg)
+    solved.rho.flags.writeable = False
+    return solved

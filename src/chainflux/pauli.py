@@ -70,32 +70,3 @@ def kron_chain(ops: Sequence[np.ndarray]) -> np.ndarray:
         factors.append(op)
     return reduce(np.kron, factors)
 
-
-def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
-        raise ShapeError(f"dimension mismatch: {a.shape} vs {b.shape}")
-
-
-def commutator(a, b) -> np.ndarray:
-    a, b = _as_operator(a), _as_operator(b)
-    _check_same_dim(a, b)
-    return a @ b - b @ a
-
-
-def anticommutator(a, b) -> np.ndarray:
-    a, b = _as_operator(a), _as_operator(b)
-    _check_same_dim(a, b)
-    return a @ b + b @ a
-
-
-def adjoint(a) -> np.ndarray:
-    return _as_operator(a).conj().T
-
-
-def trace(a) -> complex:
-    return complex(np.trace(_as_operator(a)))
-
-
-def is_hermitian(a, tol: float = 1e-12) -> bool:
-    a = _as_operator(a)
-    return bool(np.abs(a - a.conj().T).max() <= tol)

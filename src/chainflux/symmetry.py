@@ -10,6 +10,7 @@ that holds and what it implies for the currents.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -46,35 +47,17 @@ def u_r(n_sites: int) -> np.ndarray:
     return kron_chain([pauli("r")] * n_sites)
 
 
-@dataclass(frozen=True)
-class BathInversion:
-    """A dissipator spec together with its bath-inverted counterpart.
+def invert_baths(spec: DissipatorSpec) -> DissipatorSpec:
+    """The bath-inverted counterpart of a dissipator spec.
 
     For the target-polarization family inversion is a plain swap of the two
     drivings; for twisted XY the two operator pairs trade places (keeping
     their own parameters).
     """
-
-    family: str
-    original: DissipatorSpec
-    inverted: DissipatorSpec
-
-
-def invert_baths(spec: DissipatorSpec) -> BathInversion:
     if isinstance(spec, TargetZ):
-        return BathInversion(
-            family="target_z",
-            original=spec,
-            inverted=TargetZ(f_left=spec.f_right, f_right=spec.f_left, gamma=spec.gamma),
-        )
+        return dataclasses.replace(spec, f_left=spec.f_right, f_right=spec.f_left)
     if isinstance(spec, TwistedXY):
-        return BathInversion(
-            family="twisted_xy",
-            original=spec,
-            inverted=TwistedXY(
-                k=spec.k, k_prime=spec.k_prime, rate=spec.rate, swapped=not spec.swapped
-            ),
-        )
+        return dataclasses.replace(spec, swapped=not spec.swapped)
     raise SpecError(f"unknown dissipator spec {type(spec).__name__}")
 
 
@@ -128,9 +111,8 @@ def check_conjugation_identity(
     cfg = config or SolverConfig()
     _require_zero_field(spec, "the conjugation identity")
     _require_antisymmetric(diss)
-    inversion = invert_baths(diss)
-    rho = chain_steady_state(spec, diss, method=method, config=cfg)
-    rho_inverted = chain_steady_state(spec, inversion.inverted, method=method, config=cfg)
+    rho = chain_steady_state(spec, diss, method=method, config=cfg).rho
+    rho_inverted = chain_steady_state(spec, invert_baths(diss), method=method, config=cfg).rho
     u = conjugation_unitary(diss, spec.n_sites)
     transported = u @ rho @ u.conj().T
     max_error = float(np.abs(transported - rho_inverted).max())
@@ -171,9 +153,8 @@ def parity_report(
 ) -> ParityReport:
     cfg = config or SolverConfig()
     _require_antisymmetric(diss)
-    inversion = invert_baths(diss)
-    rho = chain_steady_state(spec, diss, method=method, config=cfg)
-    rho_inverted = chain_steady_state(spec, inversion.inverted, method=method, config=cfg)
+    rho = chain_steady_state(spec, diss, method=method, config=cfg).rho
+    rho_inverted = chain_steady_state(spec, invert_baths(diss), method=method, config=cfg).rho
     forward = currents_profile(rho, spec, cfg)
     inverted = currents_profile(rho_inverted, spec, cfg)
     # steady-state currents are uniform, so the central entries are representative
@@ -225,17 +206,17 @@ def energy_current_direction_scan(
     spec: ChainSpec,
     drive_grid,
     *,
-    family: str = "target_z",
-    gamma: float = 1.0,
-    rate: float = 1.0,
+    bath: DissipatorSpec = TargetZ(0.0, 0.0),
     method: str = "auto",
     config: SolverConfig | None = None,
 ) -> DirectionScan:
     """Scan the exchange energy current over a driving grid and its inversion.
 
-    For each drive value the current is evaluated with the baths as given and
-    with the baths inverted; the scan is consistent when the sign never
-    changes (magnitudes below the sign floor count as zero).
+    Each drive value d is applied to ``bath`` as its antisymmetric setting
+    (``bath.with_drive(d)``, keeping the bath's family and rate). The current
+    is evaluated with the baths as given and with the baths inverted; the
+    scan is consistent when the sign never changes (magnitudes below the sign
+    floor count as zero).
     """
     cfg = config or SolverConfig()
     _require_zero_field(spec, "the direction scan")
@@ -244,13 +225,7 @@ def energy_current_direction_scan(
     rows = []
     signs = set()
     for drive in drive_grid:
-        if family == "target_z":
-            diss = TargetZ(f_left=float(drive), f_right=-float(drive), gamma=gamma)
-        elif family == "twisted_xy":
-            diss = TwistedXY(k=float(drive), k_prime=-float(drive), rate=rate)
-        else:
-            raise SpecError(f"unknown bath family {family!r}")
-        report = parity_report(spec, diss, method=method, config=cfg)
+        report = parity_report(spec, bath.with_drive(float(drive)), method=method, config=cfg)
         s_fwd = _sign(report.f_xxz_forward, cfg.sign_floor)
         s_inv = _sign(report.f_xxz_inverted, cfg.sign_floor)
         rows.append(

@@ -48,7 +48,7 @@ def _solve(spec, diss, method="dense_null"):
         liouv = build_liouvillian(
             build_hamiltonian(spec), jump_operators(diss, spec.n_sites)
         )
-        rho = steady_state(liouv, method=method, config=CFG)
+        rho = steady_state(liouv, method=method, config=CFG).rho
         profile = currents_profile(rho, spec, CFG)
         _SOLVES[key] = (spec, liouv, rho, profile)
     return _SOLVES[key]
@@ -248,7 +248,7 @@ def test_criterion_10_method_oracle_equivalence():
                 k_prime=float(rng.uniform(-0.9, 0.9)),
                 rate=float(rng.uniform(0.5, 2.0)),
             )
-        dense = chain_steady_state(spec, diss, method="dense_null", config=CFG)
-        evolved = chain_steady_state(spec, diss, method="evolve", config=CFG)
+        dense = chain_steady_state(spec, diss, method="dense_null", config=CFG).rho
+        evolved = chain_steady_state(spec, diss, method="evolve", config=CFG).rho
         gap = float(np.abs(dense - evolved).max())
         assert gap <= 1e-7, (trial, n_sites, diss, gap)

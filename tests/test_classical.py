@@ -164,6 +164,21 @@ def test_alpha_zero_five_sites_no_rectification():
     assert abs(abs(report.flux_forward) - abs(report.flux_reverse)) < 1e-12
 
 
+def test_alpha_zero_long_graded_chain_uses_exact_profile():
+    # a Newton profile of this chain leaves a flux asymmetry just over the
+    # 1e-12 self-check; the series-resistance profile is exact
+    c0, c_last = 2.254425148586673, 1.1015687421221836
+    c = tuple(c0 + j * (c_last - c0) / 42 for j in range(43))
+    spec = ClassicalChainSpec(c, 0.0, 1.8055914539739462, 0.8791970535565019)
+    report = rectification_experiment(spec)
+    assert abs(abs(report.flux_forward) - abs(report.flux_reverse)) < 1e-15
+    fluxes = [bond_flux(spec, j, report.profile_forward) for j in range(1, 43)]
+    assert max(fluxes) - min(fluxes) < 1e-15
+    series = sum(a + b for a, b in zip(c, c[1:]))
+    assert report.flux_forward == pytest.approx((spec.t_left - spec.t_right) / series,
+                                                rel=1e-13)
+
+
 def test_inverted_profile_differs_from_reversed_profile():
     spec = ClassicalChainSpec(GRADED_C, 0.0, 2.0, 1.0)
     report = rectification_experiment(spec)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import chainflux.cli as cli
 import chainflux.lindblad as lindblad
 from chainflux.cli import main
 from chainflux.config import apply_sweep_value, load_config
@@ -18,6 +19,25 @@ def _write_config(tmp_path, name, payload):
 
 GRADED_MODEL = {"n_sites": 3, "alpha": 1.0, "delta_mean": 1.0, "delta_step": 0.5,
                 "b_uniform": 0.0}
+
+
+def _count_calls(monkeypatch, name):
+    """Record the calls of ``lindblad.<name>`` with an empty solve cache.
+
+    A CLI-side reference of the same name is patched too, so a second solve
+    path in the CLI would be counted.
+    """
+    lindblad._cached_chain_steady_state.cache_clear()
+    calls = []
+    original = getattr(lindblad, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(lindblad, name, counting)
+    monkeypatch.setattr(cli, name, counting, raising=False)
+    return calls
 
 
 def _read_csv(path):
@@ -166,6 +186,19 @@ def test_cmd_steady_homogeneous_energy_column_vanishes(tmp_path):
     assert all(abs(float(r["value"])) < 1e-9 for r in energy_rows)
 
 
+def test_cmd_steady_evaluates_the_residual_once(tmp_path, monkeypatch):
+    residuals = _count_calls(monkeypatch, "liouvillian_residual")
+    config = _write_config(tmp_path, "c.json", {
+        "model": GRADED_MODEL,
+        "bath": {"family": "target_z", "f": 0.5},
+        "output": {"path": str(tmp_path / "out.csv")},
+    })
+    assert main(["steady", "--config", str(config)]) == 0
+    assert len(residuals) == 1
+    _, _, rows = _read_csv(tmp_path / "out.csv")
+    assert {r["method"] for r in rows} == {"dense_null"}
+
+
 def test_cmd_steady_single_site_pinned_state(tmp_path):
     config = _write_config(tmp_path, "c.json", {
         "model": {"n_sites": 1, "alpha": 0.0, "delta": [], "b_field": [0.0]},
@@ -222,15 +255,7 @@ def test_cmd_symmetry_twisted_conjugation_passes(tmp_path):
     ({"family": "twisted_xy", "k": 0.6}, 2),
 ])
 def test_cmd_symmetry_solves_each_distinct_state_once(tmp_path, monkeypatch, bath, distinct):
-    lindblad._cached_chain_steady_state.cache_clear()
-    solves = []
-    original = lindblad.steady_state
-
-    def counting(*args, **kwargs):
-        solves.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(lindblad, "steady_state", counting)
+    solves = _count_calls(monkeypatch, "steady_state")
     config = _write_config(tmp_path, "c.json", {
         "model": GRADED_MODEL,
         "bath": bath,
@@ -264,6 +289,21 @@ def test_cmd_sweep_parity_columns(tmp_path):
     f_values = [float(r["energy_xxz"]) for r in rows]
     assert j_values[0] == pytest.approx(-j_values[1], abs=1e-9)
     assert f_values[0] == pytest.approx(f_values[1], abs=1e-9)
+
+
+def test_cmd_sweep_solves_a_repeated_grid_value_once(tmp_path, monkeypatch):
+    solves = _count_calls(monkeypatch, "steady_state")
+    config = _write_config(tmp_path, "c.json", {
+        "model": GRADED_MODEL,
+        "bath": {"family": "target_z", "f": 0.5},
+        "sweep": {"parameter": "f", "grid": [0.2, 0.7, 0.2]},
+        "output": {"path": str(tmp_path / "sweep.csv")},
+    })
+    assert main(["sweep", "--config", str(config)]) == 0
+    assert len(solves) == 2
+    _, _, rows = _read_csv(tmp_path / "sweep.csv")
+    # the repeated point reads the same solve record, wall time included
+    assert rows[0] == rows[2]
 
 
 def test_cmd_sweep_deterministic_output_modulo_timing(tmp_path):

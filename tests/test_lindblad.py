@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -138,7 +139,7 @@ def test_single_site_damping_superoperator_by_hand():
         dtype=complex,
     )
     assert np.allclose(liouv.matrix.toarray(), expected, atol=1e-15)
-    rho = steady_state(liouv, method="dense_null")
+    rho = steady_state(liouv, method="dense_null").rho
     assert np.allclose(rho, np.diag([0.0, 1.0]), atol=1e-12)
     assert expectation(rho, pauli("z")) == pytest.approx(-1.0, abs=1e-12)
 
@@ -194,8 +195,8 @@ def test_steady_state_requires_jumps():
 def test_two_site_method_cross_validation():
     spec = ChainSpec(2, alpha=1.0, delta=(1.0,), b_field=(0.0, 0.0))
     diss = TargetZ(1.0, -1.0, gamma=1.0)
-    rho_dense = chain_steady_state(spec, diss, method="dense_null")
-    rho_evolve = chain_steady_state(spec, diss, method="evolve")
+    rho_dense = chain_steady_state(spec, diss, method="dense_null").rho
+    rho_evolve = chain_steady_state(spec, diss, method="evolve").rho
     for site in (1, 2):
         sz = embed(pauli("z"), site, 2)
         assert abs(expectation(rho_dense, sz) - expectation(rho_evolve, sz)) < 1e-8
@@ -216,11 +217,31 @@ def test_chain_steady_state_is_memoised_and_read_only(monkeypatch):
     # config=None and the default SolverConfig are one cache key
     assert chain_steady_state(spec, diss, config=SolverConfig()) is first
     assert methods == ["auto"]
-    assert not first.flags.writeable
+    assert first.method == "dense_null"
+    assert not first.rho.flags.writeable
     with pytest.raises(ValueError):
-        first[0, 0] = 0.0
+        first.rho[0, 0] = 0.0
     chain_steady_state(spec, diss, method="dense_null")
     assert methods == ["auto", "dense_null"]
+
+
+def test_steady_state_record_reports_the_solve():
+    spec = ChainSpec(2, alpha=1.0, delta=(1.0,), b_field=(0.0, 0.0))
+    liouv = build_liouvillian(build_hamiltonian(spec), jump_operators(TargetZ(0.5, -0.5), 2))
+    for method, resolved in (("auto", "dense_null"), ("evolve", "evolve")):
+        solved = steady_state(liouv, method=method)
+        assert solved.method == resolved
+        assert solved.residual == liouvillian_residual(liouv, solved.rho)
+        assert solved.wall_ms >= 0.0
+
+
+def test_bath_family_facts():
+    assert (TargetZ.family, TwistedXY.family) == ("target_z", "twisted_xy")
+    assert "family" not in dataclasses.asdict(TargetZ(0.3, -0.3))
+    assert TargetZ(0.1, 0.2, gamma=1.3).with_drive(0.4) == TargetZ(0.4, -0.4, gamma=1.3)
+    assert TwistedXY(0.1, 0.2, rate=0.7, swapped=True).with_drive(0.4) == TwistedXY(
+        0.4, -0.4, rate=0.7, swapped=True)
+    assert (TargetZ(0.3, -0.1).drive, TwistedXY(0.6, 0.2).drive) == (0.3, 0.6)
 
 
 def test_three_site_graded_residual_and_validity():
@@ -228,7 +249,7 @@ def test_three_site_graded_residual_and_validity():
     liouv = build_liouvillian(
         build_hamiltonian(spec), jump_operators(TargetZ(0.5, -0.5), 3)
     )
-    rho = steady_state(liouv, method="dense_null")
+    rho = steady_state(liouv, method="dense_null").rho
     assert liouvillian_residual(liouv, rho) < 1e-9
     diag = validate_state(rho)
     assert diag.trace_error < 1e-10
@@ -281,7 +302,7 @@ def test_dense_null_matches_full_eig_oracle():
         order = np.argsort(np.abs(values))
         oracle = unvectorize(vectors[:, order[0]])
         oracle = oracle / np.trace(oracle)
-        rho = steady_state(liouv, method="dense_null")
+        rho = steady_state(liouv, method="dense_null").rho
         assert np.abs(rho - oracle).max() < 1e-12, (trial, diss)
         magnitudes, _ = _zero_mode(liouv.matrix)
         assert magnitudes[0] < SolverConfig().unique_tol
@@ -339,8 +360,8 @@ def test_evolve_unitary_coherence_rotation():
 def test_evolve_matches_dense_null():
     spec = ChainSpec(3, alpha=1.0, delta=(0.5, 1.5), b_field=(0.0,) * 3)
     for diss in (TargetZ(0.5, -0.5), TwistedXY(0.6, -0.6)):
-        dense = chain_steady_state(spec, diss, method="dense_null")
-        evolved = chain_steady_state(spec, diss, method="evolve")
+        dense = chain_steady_state(spec, diss, method="dense_null").rho
+        evolved = chain_steady_state(spec, diss, method="evolve").rho
         assert np.abs(dense - evolved).max() < 1e-7
 
 
@@ -380,7 +401,7 @@ def test_expectation_guards():
 
 def test_homogeneous_chain_carries_no_exchange_energy_current():
     spec = ChainSpec(3, alpha=1.0, delta=(1.0, 1.0), b_field=(0.0,) * 3)
-    rho = chain_steady_state(spec, TargetZ(0.7, -0.7))
+    rho = chain_steady_state(spec, TargetZ(0.7, -0.7)).rho
     profile = currents_profile(rho, spec)
     assert max(abs(v) for v in profile.energy_xxz) < 1e-9
     assert profile.spin_spread < 1e-9
@@ -390,8 +411,8 @@ def test_graded_chain_energy_current_sign_follows_step():
     plus = expand_graded(GradedProfile(1.0, 0.5), 3)
     minus = expand_graded(GradedProfile(1.0, -0.5), 3)
     diss = TargetZ(0.5, -0.5)
-    f_plus = currents_profile(chain_steady_state(plus, diss), plus).energy_xxz[0]
-    f_minus = currents_profile(chain_steady_state(minus, diss), minus).energy_xxz[0]
+    f_plus = currents_profile(chain_steady_state(plus, diss).rho, plus).energy_xxz[0]
+    f_minus = currents_profile(chain_steady_state(minus, diss).rho, minus).energy_xxz[0]
     assert f_plus > 1e-6
     assert f_minus < -1e-6
     assert abs(f_plus + f_minus) < 1e-9  # mirror of the profile flips the sign
@@ -399,7 +420,7 @@ def test_graded_chain_energy_current_sign_follows_step():
 
 def test_four_site_current_uniformity():
     spec = expand_graded(GradedProfile(1.0, 0.5), 4)
-    rho = chain_steady_state(spec, TargetZ(0.5, -0.5))
+    rho = chain_steady_state(spec, TargetZ(0.5, -0.5)).rho
     profile = currents_profile(rho, spec)
     assert profile.spin_spread < 1e-9
     assert profile.energy_xxz_spread < 1e-9
@@ -408,7 +429,7 @@ def test_four_site_current_uniformity():
 
 def test_two_site_profile_has_empty_energy_lists():
     spec = ChainSpec(2, alpha=1.0, delta=(1.0,), b_field=(0.0, 0.0))
-    rho = chain_steady_state(spec, TargetZ(0.5, -0.5))
+    rho = chain_steady_state(spec, TargetZ(0.5, -0.5)).rho
     profile = currents_profile(rho, spec)
     assert profile.energy_xxz == ()
     assert profile.energy_total == ()
@@ -419,8 +440,8 @@ def test_uniform_field_leaves_spin_conserving_expectations():
     diss = TargetZ(0.5, -0.5)
     base = expand_graded(GradedProfile(1.0, 0.5), 3)
     shifted = expand_graded(GradedProfile(1.0, 0.5), 3, b_field=0.7)
-    p0 = currents_profile(chain_steady_state(base, diss), base)
-    p1 = currents_profile(chain_steady_state(shifted, diss), shifted)
+    p0 = currents_profile(chain_steady_state(base, diss).rho, base)
+    p1 = currents_profile(chain_steady_state(shifted, diss).rho, shifted)
     assert abs(p0.spin[0] - p1.spin[0]) < 1e-8
     assert abs(p0.energy_xxz[0] - p1.energy_xxz[0]) < 1e-8
 

@@ -55,20 +55,20 @@ def test_rotation_single_site_table():
 
 def test_invert_target_z_swaps_drivings():
     inv = invert_baths(TargetZ(f_left=0.4, f_right=-0.4, gamma=1.3))
-    assert inv.inverted == TargetZ(f_left=-0.4, f_right=0.4, gamma=1.3)
+    assert inv == TargetZ(f_left=-0.4, f_right=0.4, gamma=1.3)
 
 
 def test_invert_target_z_fixed_point():
     diss = TargetZ(0.0, 0.0)
-    assert invert_baths(diss).inverted == diss
+    assert invert_baths(diss) == diss
 
 
 def test_invert_twisted_swaps_pair_placement():
     diss = TwistedXY(k=0.3, k_prime=-0.3)
     inv = invert_baths(diss)
-    assert inv.inverted.swapped
+    assert inv.swapped
     # inverting twice restores the original placement
-    assert invert_baths(inv.inverted).inverted == diss
+    assert invert_baths(inv) == diss
 
 
 def test_target_z_jump_set_covariant_under_x_flip():
@@ -196,8 +196,23 @@ def test_direction_scan_rejects_field():
 
 
 def test_direction_scan_twisted_family():
-    scan = energy_current_direction_scan(GRADED3, [0.3, 0.6], family="twisted_xy")
+    scan = energy_current_direction_scan(GRADED3, [0.3, 0.6], bath=TwistedXY(0.0, 0.0))
     assert scan.consistent
+
+
+@pytest.mark.parametrize("bath, antisymmetric", [
+    (TargetZ(0.0, 0.0, gamma=1.3), lambda d: TargetZ(d, -d, gamma=1.3)),
+    (TwistedXY(0.0, 0.0, rate=0.8), lambda d: TwistedXY(d, -d, rate=0.8)),
+], ids=["target_z", "twisted_xy"])
+def test_direction_scan_keeps_the_bath_rate(bath, antisymmetric):
+    scan = energy_current_direction_scan(GRADED3, [0.3, 0.6], bath=bath)
+    for row in scan.rows:
+        report = parity_report(GRADED3, antisymmetric(row.drive))
+        assert (row.forward_value, row.inverted_value) == (
+            report.f_xxz_forward, report.f_xxz_inverted)
+    # the rate matters: the default-rate bath gives another current
+    default = energy_current_direction_scan(GRADED3, [0.3], bath=type(bath)(0.0, 0.0))
+    assert default.rows[0].forward_value != pytest.approx(scan.rows[0].forward_value)
 
 
 def test_mirror_oracle_reverses_both_currents():
@@ -209,8 +224,8 @@ def test_mirror_oracle_reverses_both_currents():
     )
     diss = TargetZ(0.5, -0.5)
     mirrored_diss = TargetZ(f_left=diss.f_right, f_right=diss.f_left, gamma=diss.gamma)
-    original = currents_profile(chain_steady_state(spec, diss), spec)
-    flipped = currents_profile(chain_steady_state(mirrored, mirrored_diss), mirrored)
+    original = currents_profile(chain_steady_state(spec, diss).rho, spec)
+    flipped = currents_profile(chain_steady_state(mirrored, mirrored_diss).rho, mirrored)
     for bond in range(3):
         assert original.spin[bond] == pytest.approx(-flipped.spin[2 - bond], abs=1e-10)
     for idx in range(2):
