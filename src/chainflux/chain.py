@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SpecError
-from .pauli import embed, pauli
+from .pauli import embed, kron_chain, pauli
 
 
 @dataclass(frozen=True)
@@ -93,22 +93,21 @@ def expand_graded(
     )
 
 
-def _bond(op_a: np.ndarray, op_b: np.ndarray, site: int, n: int) -> np.ndarray:
-    return embed(op_a, site, n) @ embed(op_b, site + 1, n)
+def _string(axes: str) -> np.ndarray:
+    """Local Pauli string on consecutive sites, e.g. ``_string("xzy")`` is 8x8."""
+    return kron_chain([pauli(axis) for axis in axes])
 
 
 def build_hamiltonian(spec: ChainSpec) -> np.ndarray:
     """Sum of XX/YY/ZZ bond terms plus the local z-field terms."""
     n = spec.n_sites
-    sx, sy, sz = pauli("x"), pauli("y"), pauli("z")
+    xx_yy, zz = _string("xx") + _string("yy"), _string("zz")
     h = np.zeros((spec.dim, spec.dim), dtype=complex)
     for j, delta in enumerate(spec.delta, start=1):
-        h += spec.alpha * _bond(sx, sx, j, n)
-        h += spec.alpha * _bond(sy, sy, j, n)
-        h += delta * _bond(sz, sz, j, n)
+        h += embed(spec.alpha * xx_yy + delta * zz, j, n)
     for j, b in enumerate(spec.b_field, start=1):
         if b != 0.0:
-            h += b * embed(sz, j, n)
+            h += b * embed(pauli("z"), j, n)
     return h
 
 
@@ -117,8 +116,7 @@ def spin_current_op(spec: ChainSpec, bond: int) -> np.ndarray:
     n = spec.n_sites
     if not 1 <= bond <= n - 1:
         raise IndexError(f"bond {bond} outside 1..{n - 1}")
-    sx, sy = pauli("x"), pauli("y")
-    return 2.0 * spec.alpha * (_bond(sx, sy, bond, n) - _bond(sy, sx, bond, n))
+    return embed(2.0 * spec.alpha * (_string("xy") - _string("yx")), bond, n)
 
 
 def energy_current_xxz_op(spec: ChainSpec, site: int) -> np.ndarray:
@@ -130,18 +128,13 @@ def energy_current_xxz_op(spec: ChainSpec, site: int) -> np.ndarray:
     n = spec.n_sites
     if not 2 <= site <= n - 1:
         raise IndexError(f"site {site} outside 2..{n - 1}")
-    sx, sy, sz = pauli("x"), pauli("y"), pauli("z")
-
-    def string(a, b, c):
-        return embed(a, site - 1, n) @ embed(b, site, n) @ embed(c, site + 1, n)
-
     alpha = spec.alpha
     d_left = spec.delta[site - 2]
     d_right = spec.delta[site - 1]
-    op = alpha * (string(sy, sz, sx) - string(sx, sz, sy))
-    op += d_left * (string(sz, sx, sy) - string(sz, sy, sx))
-    op += d_right * (string(sx, sy, sz) - string(sy, sx, sz))
-    return 2.0 * alpha * op
+    op = alpha * (_string("yzx") - _string("xzy"))
+    op += d_left * (_string("zxy") - _string("zyx"))
+    op += d_right * (_string("xyz") - _string("yxz"))
+    return embed(2.0 * alpha * op, site - 1, n)
 
 
 def energy_current_field_op(spec: ChainSpec, site: int) -> np.ndarray:

@@ -38,6 +38,7 @@ from .lindblad import (
     DissipatorSpec,
     SteadyState,
     TargetZ,
+    central,
     chain_steady_state,
     currents_profile,
     expectation,
@@ -120,11 +121,16 @@ def _diagnostic_cells(solved: SteadyState) -> dict:
 
 
 def _map_grid(evaluate, points, workers: int) -> list:
-    """Evaluate every grid point, concurrently when workers > 1, in grid order."""
+    """Evaluate each distinct grid point once, concurrently when workers > 1;
+    return one result per grid point, in grid order."""
+    distinct = {repr(point): point for point in points}  # repr keeps 0.0 and -0.0 apart
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(evaluate, points))
-    return [evaluate(point) for point in points]
+            values = list(pool.map(evaluate, distinct.values()))
+    else:
+        values = [evaluate(point) for point in distinct.values()]
+    results = dict(zip(distinct, values))
+    return [results[repr(point)] for point in points]
 
 
 def cmd_steady(config: ExperimentConfig) -> list[dict] | None:
@@ -176,10 +182,12 @@ def cmd_symmetry(config: ExperimentConfig) -> list[dict]:
 
     start = time.perf_counter()
     conj = check_conjugation_identity(chain, diss, method=config.method, config=cfg)
+    # the resolved solver, from the record the check cached (same for every solve here)
+    method = chain_steady_state(chain, diss, config.method, cfg).method
     rows.append({**inputs, "check": "conjugation", "drive": drive,
                  "forward": None, "inverted": None, "error": conj.max_error,
                  "threshold": cfg.conjugation_tol, "passed": conj.passed,
-                 "method": config.method,
+                 "method": method,
                  "wall_ms": round((time.perf_counter() - start) * 1e3, 3)})
 
     start = time.perf_counter()
@@ -190,12 +198,12 @@ def cmd_symmetry(config: ExperimentConfig) -> list[dict]:
                      "forward": parity.f_xxz_forward, "inverted": parity.f_xxz_inverted,
                      "error": parity.f_even_error, "threshold": cfg.sign_floor,
                      "passed": parity.f_even_error <= cfg.sign_floor,
-                     "method": config.method, "wall_ms": wall_ms})
+                     "method": method, "wall_ms": wall_ms})
     rows.append({**inputs, "check": "spin_current_odd", "drive": drive,
                  "forward": parity.spin_forward, "inverted": parity.spin_inverted,
                  "error": parity.j_odd_error, "threshold": cfg.sign_floor,
                  "passed": parity.j_odd_error <= cfg.sign_floor,
-                 "method": config.method, "wall_ms": wall_ms})
+                 "method": method, "wall_ms": wall_ms})
 
     if chain.n_sites >= 3:
         start = time.perf_counter()
@@ -208,11 +216,11 @@ def cmd_symmetry(config: ExperimentConfig) -> list[dict]:
                          "forward": row.forward_value, "inverted": row.inverted_value,
                          "error": abs(row.forward_value - row.inverted_value),
                          "threshold": cfg.sign_floor, "passed": row.consistent,
-                         "method": config.method, "wall_ms": wall_ms})
+                         "method": method, "wall_ms": wall_ms})
         rows.append({**inputs, "check": "direction_overall", "drive": None,
                      "forward": float(scan.common_sign), "inverted": float(scan.common_sign),
                      "error": 0.0 if scan.consistent else 1.0, "threshold": None,
-                     "passed": scan.consistent, "method": config.method,
+                     "passed": scan.consistent, "method": method,
                      "wall_ms": wall_ms})
     return rows
 
@@ -231,17 +239,14 @@ def cmd_sweep(config: ExperimentConfig) -> list[dict]:
         chain, diss = apply_sweep_value(config, value)
         solved = chain_steady_state(chain, diss, config.method, config.solver)
         profile = currents_profile(solved.rho, chain, config.solver)
-        n = chain.n_sites
-        mid_bond = n // 2 - 1
-        mid_site = (len(profile.energy_xxz) - 1) // 2
         return {
             **_model_cells(chain),
             **_bath_cells(diss),
             "sweep_parameter": config.sweep.parameter,
             "sweep_value": value,
-            "spin_current": profile.spin[mid_bond] if profile.spin else math.nan,
-            "energy_xxz": profile.energy_xxz[mid_site] if profile.energy_xxz else math.nan,
-            "energy_total": profile.energy_total[mid_site] if profile.energy_total else math.nan,
+            "spin_current": central(profile.spin),
+            "energy_xxz": central(profile.energy_xxz),
+            "energy_total": central(profile.energy_total),
             "spin_spread": profile.spin_spread,
             "energy_xxz_spread": profile.energy_xxz_spread,
             "energy_total_spread": profile.energy_total_spread,

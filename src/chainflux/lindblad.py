@@ -319,11 +319,11 @@ def steady_state(
 ) -> SteadyState:
     """Solve for the unique trace-one fixed point of the generator.
 
-    dense_null takes the zero mode of one shift-invert eigensolve of the
-    sparse superoperator, after certifying that the kernel is
-    one-dimensional; evolve integrates from the maximally mixed state until
-    the per-step change stalls. Both paths end with trace normalization,
-    Hermitization, and a residual check.
+    dense_null (a historical name) is a sparse shift-invert zero mode: one
+    shift-invert eigensolve of the sparse superoperator certifies that the
+    kernel is one-dimensional and returns its zero mode; evolve integrates
+    from the maximally mixed state until the per-step change stalls. Both
+    paths end with trace normalization, Hermitization, and a residual check.
     """
     cfg = config or SolverConfig()
     if not liouv.jumps:
@@ -373,6 +373,7 @@ def _zero_mode(matrix: scipy.sparse.csc_matrix) -> tuple[np.ndarray, np.ndarray]
 
 
 def _dense_null_candidate(liouv: Liouvillian, cfg: SolverConfig) -> np.ndarray:
+    """The sparse shift-invert zero mode, refused unless the kernel is one-dimensional."""
     magnitudes, vector = _zero_mode(liouv.matrix)
     if np.count_nonzero(magnitudes < cfg.unique_tol) >= 2:
         raise NonUniqueSteadyStateError(
@@ -466,6 +467,11 @@ def expectation(rho: np.ndarray, obs: np.ndarray, config: SolverConfig | None = 
 
 def _spread(values: tuple[float, ...]) -> float:
     return max(values) - min(values) if values else 0.0
+
+
+def central(values: tuple[float, ...]) -> float:
+    """Middle entry (left of two) of a uniform steady-state current profile; NaN if empty."""
+    return values[(len(values) - 1) // 2] if values else math.nan
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,8 @@
 
 Operators are plain complex numpy arrays. Site 1 is the leftmost tensor
 factor, i.e. the most significant bit of the computational-basis index.
+A k-site operator is a 2^k x 2^k matrix (built with ``kron_chain``) that
+``embed`` places on k consecutive sites of the chain.
 """
 
 from __future__ import annotations
@@ -47,14 +49,16 @@ def _as_operator(a) -> np.ndarray:
 
 
 def embed(op, site: int, n_sites: int) -> np.ndarray:
-    """Embed a single-site operator at ``site`` (1-based) into an ``n_sites`` chain."""
+    """Place a 2^k x 2^k operator on sites ``site..site+k-1`` (1-based) of an
+    ``n_sites`` chain, as kron(I_left, op, I_right)."""
     op = _as_operator(op)
-    if op.shape != (2, 2):
-        raise ShapeError(f"embed expects a 2x2 operator, got shape {op.shape}")
-    if not 1 <= site <= n_sites:
-        raise IndexError(f"site {site} outside 1..{n_sites}")
+    k = op.shape[0].bit_length() - 1
+    if k < 1 or op.shape[0] != 2**k:
+        raise ShapeError(f"embed expects a 2^k x 2^k operator (k >= 1), got shape {op.shape}")
+    if not 1 <= site <= n_sites - k + 1:
+        raise IndexError(f"a {k}-site operator at site {site} does not fit sites 1..{n_sites}")
     left = np.eye(2 ** (site - 1), dtype=complex)
-    right = np.eye(2 ** (n_sites - site), dtype=complex)
+    right = np.eye(2 ** (n_sites - site - k + 1), dtype=complex)
     return np.kron(np.kron(left, op), right)
 
 

@@ -11,7 +11,6 @@ that holds and what it implies for the currents.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +22,7 @@ from .lindblad import (
     SolverConfig,
     TargetZ,
     TwistedXY,
+    central,
     chain_steady_state,
     currents_profile,
 )
@@ -157,15 +157,9 @@ def parity_report(
     rho_inverted = chain_steady_state(spec, invert_baths(diss), method=method, config=cfg).rho
     forward = currents_profile(rho, spec, cfg)
     inverted = currents_profile(rho_inverted, spec, cfg)
-    # steady-state currents are uniform, so the central entries are representative
-    j_fwd = forward.spin[spec.n_sites // 2 - 1] if forward.spin else math.nan
-    j_inv = inverted.spin[spec.n_sites // 2 - 1] if inverted.spin else math.nan
-    if forward.energy_xxz:
-        mid = (len(forward.energy_xxz) - 1) // 2
-        fx_fwd, fx_inv = forward.energy_xxz[mid], inverted.energy_xxz[mid]
-        ft_fwd, ft_inv = forward.energy_total[mid], inverted.energy_total[mid]
-    else:
-        fx_fwd = fx_inv = ft_fwd = ft_inv = math.nan
+    j_fwd, j_inv = central(forward.spin), central(inverted.spin)
+    fx_fwd, fx_inv = central(forward.energy_xxz), central(inverted.energy_xxz)
+    ft_fwd, ft_inv = central(forward.energy_total), central(inverted.energy_total)
     return ParityReport(
         f_xxz_forward=fx_fwd,
         f_xxz_inverted=fx_inv,
@@ -173,9 +167,9 @@ def parity_report(
         spin_inverted=j_inv,
         f_total_forward=ft_fwd,
         f_total_inverted=ft_inv,
-        f_even_error=abs(fx_fwd - fx_inv) if forward.energy_xxz else math.nan,
+        f_even_error=abs(fx_fwd - fx_inv),
         j_odd_error=abs(j_fwd + j_inv),
-        f_total_asymmetry=ft_fwd - ft_inv if forward.energy_xxz else math.nan,
+        f_total_asymmetry=ft_fwd - ft_inv,
     )
 
 

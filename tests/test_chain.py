@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,63 @@ def _random_spec(rng, n_sites, uniform_b=False):
     else:
         b = tuple(rng.uniform(-1, 1, n_sites))
     return ChainSpec(n_sites, alpha=float(rng.uniform(0.5, 1.5)), delta=deltas, b_field=b)
+
+
+def _string_ref(axes, first_site, n):
+    """A Pauli string as the product of single-site embeds (the reference formula)."""
+    return reduce(np.matmul, [embed(pauli(axis), first_site + offset, n)
+                              for offset, axis in enumerate(axes)])
+
+
+def _hamiltonian_ref(spec):
+    n = spec.n_sites
+    h = np.zeros((spec.dim, spec.dim), dtype=complex)
+    for j, delta in enumerate(spec.delta, start=1):
+        h += spec.alpha * _string_ref("xx", j, n)
+        h += spec.alpha * _string_ref("yy", j, n)
+        h += delta * _string_ref("zz", j, n)
+    for j, b in enumerate(spec.b_field, start=1):
+        if b != 0.0:
+            h += b * embed(pauli("z"), j, n)
+    return h
+
+
+def _spin_current_ref(spec, bond):
+    n = spec.n_sites
+    return 2.0 * spec.alpha * (_string_ref("xy", bond, n) - _string_ref("yx", bond, n))
+
+
+def _energy_current_xxz_ref(spec, site):
+    n, alpha = spec.n_sites, spec.alpha
+    d_left, d_right = spec.delta[site - 2], spec.delta[site - 1]
+    op = alpha * (_string_ref("yzx", site - 1, n) - _string_ref("xzy", site - 1, n))
+    op += d_left * (_string_ref("zxy", site - 1, n) - _string_ref("zyx", site - 1, n))
+    op += d_right * (_string_ref("xyz", site - 1, n) - _string_ref("yxz", site - 1, n))
+    return 2.0 * alpha * op
+
+
+def _energy_current_field_ref(spec, site):
+    b = spec.b_field[site - 1]
+    if b == 0.0:
+        return np.zeros((spec.dim, spec.dim), dtype=complex)
+    return 0.5 * b * (_spin_current_ref(spec, site - 1) + _spin_current_ref(spec, site))
+
+
+@pytest.mark.parametrize("n_sites", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("field", ["none", "uniform", "random"])
+def test_operators_equal_single_site_embed_products(n_sites, field):
+    rng = np.random.default_rng(100 + n_sites)
+    spec = _random_spec(rng, n_sites, uniform_b=field == "uniform")
+    if field == "none":
+        spec = ChainSpec(n_sites, spec.alpha, spec.delta, (0.0,) * n_sites)
+    assert np.array_equal(build_hamiltonian(spec), _hamiltonian_ref(spec))
+    for bond in range(1, n_sites):
+        assert np.array_equal(spin_current_op(spec, bond), _spin_current_ref(spec, bond))
+    for site in range(2, n_sites):
+        assert np.array_equal(energy_current_xxz_op(spec, site),
+                              _energy_current_xxz_ref(spec, site))
+        assert np.array_equal(energy_current_field_op(spec, site),
+                              _energy_current_field_ref(spec, site))
 
 
 def test_zero_couplings_give_zero_hamiltonian():

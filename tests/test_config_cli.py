@@ -265,6 +265,20 @@ def test_cmd_symmetry_solves_each_distinct_state_once(tmp_path, monkeypatch, bat
     assert len(solves) == distinct
 
 
+def test_cmd_symmetry_method_column_is_the_resolved_solver(tmp_path, monkeypatch):
+    solves = _count_calls(monkeypatch, "steady_state")
+    config = _write_config(tmp_path, "c.json", {
+        "model": {**GRADED_MODEL, "n_sites": 4},
+        "bath": {"family": "target_z", "f": 0.5},
+        "output": {"path": str(tmp_path / "sym.csv")},
+    })
+    assert main(["symmetry", "--config", str(config)]) == 0
+    _, _, rows = _read_csv(tmp_path / "sym.csv")
+    assert rows and all(r["method"] == "dense_null" for r in rows)
+    # reading the method is a cache hit, not another solve
+    assert len(solves) == 6
+
+
 def test_cmd_symmetry_refuses_field(tmp_path):
     config = _write_config(tmp_path, "c.json", {
         "model": {**GRADED_MODEL, "b_uniform": 0.4},
@@ -303,6 +317,44 @@ def test_cmd_sweep_solves_a_repeated_grid_value_once(tmp_path, monkeypatch):
     assert len(solves) == 2
     _, _, rows = _read_csv(tmp_path / "sweep.csv")
     # the repeated point reads the same solve record, wall time included
+    assert rows[0] == rows[2]
+
+
+def test_cmd_sweep_threads_solve_each_distinct_grid_value_once(tmp_path, monkeypatch):
+    solves = _count_calls(monkeypatch, "steady_state")
+    config = _write_config(tmp_path, "c.json", {
+        "model": {**GRADED_MODEL, "n_sites": 4},
+        "bath": {"family": "target_z", "f": 0.5},
+        "sweep": {"parameter": "f", "grid": [0.2, 0.2, 0.7, 0.7]},
+        "output": {"path": str(tmp_path / "sweep.csv")},
+    })
+    assert main(["sweep", "--config", str(config), "--workers", "2"]) == 0
+    assert len(solves) == 2
+    _, _, rows = _read_csv(tmp_path / "sweep.csv")
+    assert [float(r["sweep_value"]) for r in rows] == [0.2, 0.2, 0.7, 0.7]
+    assert rows[0] == rows[1] and rows[2] == rows[3]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_cmd_classical_evaluates_a_repeated_grid_value_once(tmp_path, monkeypatch, workers):
+    calls = []
+    original = cli.rectification_experiment
+
+    def counting(chain):
+        calls.append(chain)
+        return original(chain)
+
+    monkeypatch.setattr(cli, "rectification_experiment", counting)
+    config = _write_config(tmp_path, "c.json", {
+        "classical": {"c": [2.0, 1.5, 1.0], "alpha_exp": 1.0, "t_left": 2.0,
+                      "t_right": 1.0},
+        "sweep": {"parameter": "alpha_exp", "grid": [0.5, 1.0, 0.5]},
+        "output": {"path": str(tmp_path / "cls.csv")},
+    })
+    assert main(["classical", "--config", str(config), "--workers", str(workers)]) == 0
+    assert len(calls) == 2
+    _, _, rows = _read_csv(tmp_path / "cls.csv")
+    assert [float(r["sweep_value"]) for r in rows] == [0.5, 1.0, 0.5]
     assert rows[0] == rows[2]
 
 

@@ -75,9 +75,24 @@ def test_embed_site_out_of_range():
         embed(SX, 3, 2)
 
 
-def test_embed_requires_single_site_operator():
+def test_embed_rejects_non_power_of_two_operator():
     with pytest.raises(ShapeError):
-        embed(np.eye(4), 1, 2)
+        embed(np.eye(3), 1, 2)
+
+
+def test_embed_multi_site_operator_must_fit_the_chain():
+    with pytest.raises(IndexError):
+        embed(np.eye(4), 3, 3)
+
+
+def test_embed_local_string_equals_single_site_products():
+    rng = np.random.default_rng(11)
+    a, b, c = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+               for _ in range(3))
+    n = 5
+    for site in (1, 2, 3):
+        products = embed(a, site, n) @ embed(b, site + 1, n) @ embed(c, site + 2, n)
+        assert np.allclose(embed(kron_chain([a, b, c]), site, n), products, atol=1e-13)
 
 
 def test_kron_chain_x_involution():

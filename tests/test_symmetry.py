@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainflux.chain import ChainSpec, GradedProfile, expand_graded
 from chainflux.errors import SpecError
 from chainflux.lindblad import (
+    SolverConfig,
     TargetZ,
     TwistedXY,
     chain_steady_state,
@@ -232,3 +235,24 @@ def test_mirror_oracle_reverses_both_currents():
         assert original.energy_xxz[idx] == pytest.approx(
             -flipped.energy_xxz[1 - idx], abs=1e-10
         )
+
+
+@pytest.mark.parametrize("bath", [TargetZ(0.0, 0.0), TwistedXY(0.0, 0.0)])
+@settings(max_examples=8, derandomize=True, deadline=None, database=None)
+@given(
+    n_sites=st.integers(3, 5),
+    delta_mean=st.floats(0.2, 1.8),
+    delta_step=st.floats(0.1, 0.8),
+    alpha=st.floats(0.5, 1.5),
+    drive=st.floats(-0.9, 0.9),
+)
+def test_parity_identities_hold_for_random_graded_chains(
+    bath, n_sites, delta_mean, delta_step, alpha, drive
+):
+    spec = expand_graded(GradedProfile(delta_mean, delta_step), n_sites, alpha=alpha)
+    diss = bath.with_drive(drive)
+    floor = SolverConfig().sign_floor
+    assert check_conjugation_identity(spec, diss).passed
+    report = parity_report(spec, diss)
+    assert report.f_even_error <= floor
+    assert report.j_odd_error <= floor
