@@ -34,6 +34,7 @@ from .config import (
 )
 from .errors import ChainFluxError, SpecError
 from .lindblad import (
+    SOLVER,
     STEADY_METHODS,
     DissipatorSpec,
     SteadyState,
@@ -138,15 +139,15 @@ def cmd_steady(config: ExperimentConfig) -> list[dict] | None:
     _require(config.model is not None, "the steady command needs a 'model' section")
     _require(config.bath is not None, "the steady command needs a 'bath' section")
     chain = config.model.chain
-    solved = chain_steady_state(chain, config.bath, config.method, config.solver)
+    solved = chain_steady_state(chain, config.bath, config.method)
     rho = solved.rho
-    profile = currents_profile(rho, chain, config.solver)
+    profile = currents_profile(rho, chain)
     inputs = {**_model_cells(chain), **_bath_cells(config.bath)}
     diagnostics = _diagnostic_cells(solved)
     sz = pauli("z")
     rows = []
     for site in range(1, chain.n_sites + 1):
-        value = expectation(rho, embed(sz, site, chain.n_sites), config.solver)
+        value = expectation(rho, embed(sz, site, chain.n_sites))
         rows.append({**inputs, "observable": "sigma_z", "index": site, "value": value,
                      **diagnostics})
     for name, values, first_index in (
@@ -169,7 +170,6 @@ def cmd_symmetry(config: ExperimentConfig) -> list[dict]:
     _require(config.model is not None, "the symmetry command needs a 'model' section")
     _require(config.bath is not None, "the symmetry command needs a 'bath' section")
     chain = config.model.chain
-    cfg = config.solver
     diss = config.bath
     inputs = {**_model_cells(chain), **_bath_cells(diss)}
     drive = diss.drive
@@ -181,41 +181,39 @@ def cmd_symmetry(config: ExperimentConfig) -> list[dict]:
     rows = []
 
     start = time.perf_counter()
-    conj = check_conjugation_identity(chain, diss, method=config.method, config=cfg)
+    conj = check_conjugation_identity(chain, diss, method=config.method)
     # the resolved solver, from the record the check cached (same for every solve here)
-    method = chain_steady_state(chain, diss, config.method, cfg).method
+    method = chain_steady_state(chain, diss, config.method).method
     rows.append({**inputs, "check": "conjugation", "drive": drive,
                  "forward": None, "inverted": None, "error": conj.max_error,
-                 "threshold": cfg.conjugation_tol, "passed": conj.passed,
+                 "threshold": SOLVER.conjugation_tol, "passed": conj.passed,
                  "method": method,
                  "wall_ms": round((time.perf_counter() - start) * 1e3, 3)})
 
     start = time.perf_counter()
-    parity = parity_report(chain, diss, method=config.method, config=cfg)
+    parity = parity_report(chain, diss, method=config.method)
     wall_ms = round((time.perf_counter() - start) * 1e3, 3)
     if chain.n_sites >= 3:
         rows.append({**inputs, "check": "energy_current_even", "drive": drive,
                      "forward": parity.f_xxz_forward, "inverted": parity.f_xxz_inverted,
-                     "error": parity.f_even_error, "threshold": cfg.sign_floor,
-                     "passed": parity.f_even_error <= cfg.sign_floor,
+                     "error": parity.f_even_error, "threshold": SOLVER.sign_floor,
+                     "passed": parity.f_even_error <= SOLVER.sign_floor,
                      "method": method, "wall_ms": wall_ms})
     rows.append({**inputs, "check": "spin_current_odd", "drive": drive,
                  "forward": parity.spin_forward, "inverted": parity.spin_inverted,
-                 "error": parity.j_odd_error, "threshold": cfg.sign_floor,
-                 "passed": parity.j_odd_error <= cfg.sign_floor,
+                 "error": parity.j_odd_error, "threshold": SOLVER.sign_floor,
+                 "passed": parity.j_odd_error <= SOLVER.sign_floor,
                  "method": method, "wall_ms": wall_ms})
 
     if chain.n_sites >= 3:
         start = time.perf_counter()
-        scan = energy_current_direction_scan(
-            chain, grid, bath=diss, method=config.method, config=cfg
-        )
+        scan = energy_current_direction_scan(chain, grid, bath=diss, method=config.method)
         wall_ms = round((time.perf_counter() - start) * 1e3, 3)
         for row in scan.rows:
             rows.append({**inputs, "check": "direction", "drive": row.drive,
                          "forward": row.forward_value, "inverted": row.inverted_value,
                          "error": abs(row.forward_value - row.inverted_value),
-                         "threshold": cfg.sign_floor, "passed": row.consistent,
+                         "threshold": SOLVER.sign_floor, "passed": row.consistent,
                          "method": method, "wall_ms": wall_ms})
         rows.append({**inputs, "check": "direction_overall", "drive": None,
                      "forward": float(scan.common_sign), "inverted": float(scan.common_sign),
@@ -237,8 +235,8 @@ def cmd_sweep(config: ExperimentConfig) -> list[dict]:
 
     def evaluate(value: float) -> dict:
         chain, diss = apply_sweep_value(config, value)
-        solved = chain_steady_state(chain, diss, config.method, config.solver)
-        profile = currents_profile(solved.rho, chain, config.solver)
+        solved = chain_steady_state(chain, diss, config.method)
+        profile = currents_profile(solved.rho, chain)
         return {
             **_model_cells(chain),
             **_bath_cells(diss),

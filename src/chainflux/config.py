@@ -1,9 +1,11 @@
 """Experiment configuration: a JSON file with sections.
 
 Sections: ``model`` (chain), ``bath`` (dissipator), ``classical`` (oscillator
-chain), ``solver`` (method and tolerance overrides), ``sweep`` (parameter
-name and grid), ``output`` (path and format). Everything is validated up
-front; solving only starts once the whole file parses.
+chain), ``solver`` (method and workers), ``sweep`` (parameter name and
+grid), ``output`` (path and format). Every section is a JSON object.
+Everything is validated up front; solving only starts once the whole file
+parses. The solver tolerances are fixed (``lindblad.SOLVER``) and are not
+part of the config language.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from pathlib import Path
 from .chain import ChainSpec, GradedProfile, expand_graded
 from .classical import ClassicalChainSpec
 from .errors import SpecError
-from .lindblad import STEADY_METHODS, DissipatorSpec, SolverConfig, TargetZ, TwistedXY
+from .lindblad import SOLVER, STEADY_METHODS, DissipatorSpec, TargetZ, TwistedXY
 
 OUTPUT_FORMATS = ("csv", "json")
 
@@ -36,14 +38,6 @@ SPIN_SWEEP_PARAMETERS = {
 }
 CLASSICAL_SWEEP_PARAMETERS = ("eps", "t_left", "t_right", "alpha_exp")
 
-# SolverConfig fields with an int default are integer knobs; the rest are floats
-_SOLVER_INT_KEYS = tuple(
-    f.name for f in dataclasses.fields(SolverConfig) if isinstance(f.default, int)
-)
-_SOLVER_FLOAT_KEYS = tuple(
-    f.name for f in dataclasses.fields(SolverConfig) if not isinstance(f.default, int)
-)
-
 
 def _require_keys(section: dict, allowed: set[str], name: str) -> None:
     unknown = set(section) - allowed
@@ -56,6 +50,16 @@ def _number(section: dict, key: str, name: str):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SpecError(f"'{name}.{key}' must be a number, got {value!r}")
     return value
+
+
+def _numbers(section: dict, key: str, name: str) -> tuple[float, ...]:
+    values = section[key]
+    if not isinstance(values, list):
+        raise SpecError(f"'{name}.{key}' must be a list of numbers")
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise SpecError(f"'{name}.{key}' entries must be numbers, got {value!r}")
+    return tuple(float(v) for v in values)
 
 
 @dataclass(frozen=True)
@@ -93,7 +97,6 @@ class ExperimentConfig:
     model: ModelSection | None
     bath: DissipatorSpec | None
     classical: ClassicalSection | None
-    solver: SolverConfig
     method: str
     workers: int
     sweep: SweepSection | None
@@ -131,10 +134,7 @@ def _parse_model(section: dict) -> ModelSection:
         b_uniform = float(_number(section, "b_uniform", "model"))
         b_field = (b_uniform,) * n_sites
     elif "b_field" in section:
-        values = section["b_field"]
-        if not isinstance(values, list):
-            raise SpecError("'model.b_field' must be a list of numbers")
-        b_field = tuple(float(v) for v in values)
+        b_field = _numbers(section, "b_field", "model")
     else:
         b_uniform = 0.0
         b_field = (0.0,) * n_sites
@@ -146,13 +146,10 @@ def _parse_model(section: dict) -> ModelSection:
         )
         chain = expand_graded(profile, n_sites, alpha=alpha, b_field=b_field[0])
         return ModelSection(chain=chain, graded=profile, b_uniform=b_field[0])
-    deltas = section["delta"]
-    if not isinstance(deltas, list):
-        raise SpecError("'model.delta' must be a list of numbers")
     chain = ChainSpec(
         n_sites=n_sites,
         alpha=alpha,
-        delta=tuple(float(v) for v in deltas),
+        delta=_numbers(section, "delta", "model"),
         b_field=b_field,
     )
     return ModelSection(chain=chain, graded=None, b_uniform=b_uniform)
@@ -192,9 +189,9 @@ def _parse_bath(section: dict) -> DissipatorSpec:
 def _parse_classical(section: dict) -> ClassicalSection:
     allowed = {"c", "alpha_exp", "t_left", "t_right", "base_t", "a_left", "a_right", "eps"}
     _require_keys(section, allowed, "classical")
-    if "c" not in section or not isinstance(section["c"], list):
+    if "c" not in section:
         raise SpecError("'classical.c' must be a list of positive numbers")
-    c = tuple(float(v) for v in section["c"])
+    c = _numbers(section, "c", "classical")
     alpha_exp = float(_number(section, "alpha_exp", "classical")) if "alpha_exp" in section else 0.0
 
     explicit = "t_left" in section or "t_right" in section
@@ -227,26 +224,15 @@ def _parse_classical(section: dict) -> ClassicalSection:
                             base_t=base_t, a_left=a_left, a_right=a_right, eps=eps)
 
 
-def _parse_solver(section: dict) -> tuple[SolverConfig, str, int]:
-    allowed = {"method", "workers", *_SOLVER_FLOAT_KEYS, *_SOLVER_INT_KEYS}
-    _require_keys(section, allowed, "solver")
+def _parse_solver(section: dict) -> tuple[str, int]:
+    _require_keys(section, {"method", "workers"}, "solver")
     method = section.get("method", "auto")
     if method not in STEADY_METHODS:
         raise SpecError(f"'solver.method' must be one of {STEADY_METHODS}, got {method!r}")
     workers = section.get("workers", 1)
     if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
         raise SpecError(f"'solver.workers' must be a positive integer, got {workers!r}")
-    overrides = {}
-    for key in _SOLVER_FLOAT_KEYS:
-        if key in section:
-            overrides[key] = float(_number(section, key, "solver"))
-    for key in _SOLVER_INT_KEYS:
-        if key in section:
-            value = section[key]
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise SpecError(f"'solver.{key}' must be an integer, got {value!r}")
-            overrides[key] = value
-    return SolverConfig(**overrides), method, workers
+    return method, workers
 
 
 def _parse_sweep(section: dict, *, classical: bool) -> SweepSection:
@@ -257,15 +243,10 @@ def _parse_sweep(section: dict, *, classical: bool) -> SweepSection:
     universe = CLASSICAL_SWEEP_PARAMETERS if classical else tuple(SPIN_SWEEP_PARAMETERS)
     if parameter not in universe:
         raise SpecError(f"unknown sweep parameter {parameter!r}; expected one of {sorted(universe)}")
-    grid = section["grid"]
-    if not isinstance(grid, list) or not grid:
+    grid = _numbers(section, "grid", "sweep")
+    if not grid:
         raise SpecError("'sweep.grid' must be a non-empty list of numbers")
-    values = []
-    for v in grid:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise SpecError(f"'sweep.grid' entries must be numbers, got {v!r}")
-        values.append(float(v))
-    return SweepSection(parameter=parameter, grid=tuple(values))
+    return SweepSection(parameter=parameter, grid=grid)
 
 
 def _check_sweep_compatibility(cfg_sweep: SweepSection, model: ModelSection | None,
@@ -297,14 +278,15 @@ def load_config(path: str | Path) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise SpecError("config root must be a JSON object")
     _require_keys(data, {"model", "bath", "classical", "solver", "sweep", "output"}, "config")
+    for name, section in data.items():
+        if not isinstance(section, dict):
+            raise SpecError(f"'{name}' section must be a JSON object, got {section!r}")
 
     model = _parse_model(data["model"]) if "model" in data else None
     bath = _parse_bath(data["bath"]) if "bath" in data else None
     classical = _parse_classical(data["classical"]) if "classical" in data else None
 
-    solver, method, workers = (
-        _parse_solver(data["solver"]) if "solver" in data else (SolverConfig(), "auto", 1)
-    )
+    method, workers = _parse_solver(data["solver"]) if "solver" in data else ("auto", 1)
 
     sweep = None
     if "sweep" in data:
@@ -327,19 +309,18 @@ def load_config(path: str | Path) -> ExperimentConfig:
         model=model,
         bath=bath,
         classical=classical,
-        solver=solver,
         method=method,
         workers=workers,
         sweep=sweep,
         output=output,
-        resolved=_resolve_echo(model, bath, classical, solver, method, workers, sweep, output),
+        resolved=_resolve_echo(model, bath, classical, method, workers, sweep, output),
     )
 
 
-def _resolve_echo(model, bath, classical, solver, method, workers, sweep, output) -> dict:
+def _resolve_echo(model, bath, classical, method, workers, sweep, output) -> dict:
     """Fully resolved config for embedding in output files."""
     echo: dict = {"solver": {"method": method, "workers": workers,
-                             **dataclasses.asdict(solver)}}
+                             **dataclasses.asdict(SOLVER)}}
     if model is not None:
         echo["model"] = {
             "n_sites": model.chain.n_sites,

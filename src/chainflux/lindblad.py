@@ -56,10 +56,11 @@ _CERTIFICATE_SEED = 20170315
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Central knob box for every tolerance used by the engine.
+    """Every tolerance and size limit the engine uses, in one place.
 
-    The defaults are the contract the test suite pins; override per call
-    only to explore, not to make a failing check pass.
+    The values are fixed: they are the contract the certificates and the
+    test suite rest on. The engine reads the one instance ``SOLVER``;
+    nothing overrides them per call or per config file.
     """
 
     residual_tol: float = 1e-9        # sup-norm of the generator applied to rho_ss
@@ -72,11 +73,13 @@ class SolverConfig:
     sign_floor: float = 1e-9          # current magnitudes below this count as zero
     dense_max_sites: int = 6
     evolve_max_sites: int = 10
-    evolve_dt: float | None = None    # None: derive from a spectral bound
     evolve_max_steps: int = 1_000_000
     evolve_conv_tol: float = 1e-12    # per-step sup-norm change declaring a fixed point
     evolve_min_steps: int = 10
     trace_drift_tol: float = 1e-8
+
+
+SOLVER = SolverConfig()
 
 
 @dataclass(frozen=True)
@@ -260,41 +263,39 @@ def state_diagnostics(rho: np.ndarray) -> StateDiagnostics:
     return StateDiagnostics(tr_err, herm, min_eig)
 
 
-def validate_state(rho: np.ndarray, config: SolverConfig | None = None) -> StateDiagnostics:
+def validate_state(rho: np.ndarray) -> StateDiagnostics:
     """Check trace, Hermiticity and positivity; raise NumericalError on violation."""
-    cfg = config or SolverConfig()
     diag = state_diagnostics(rho)
-    if diag.trace_error > cfg.trace_tol:
+    if diag.trace_error > SOLVER.trace_tol:
         raise NumericalError(f"trace deviates from 1 by {diag.trace_error:.3e}")
-    if diag.hermiticity_error > cfg.hermiticity_tol:
+    if diag.hermiticity_error > SOLVER.hermiticity_tol:
         raise NumericalError(f"state is non-Hermitian by {diag.hermiticity_error:.3e}")
-    if diag.min_eigenvalue < -cfg.positivity_tol:
+    if diag.min_eigenvalue < -SOLVER.positivity_tol:
         raise NumericalError(f"state has negative eigenvalue {diag.min_eigenvalue:.3e}")
     return diag
 
 
-def resolve_method(dim: int, method: str, config: SolverConfig | None = None) -> str:
+def resolve_method(dim: int, method: str) -> str:
     """Map 'auto' to a concrete solver and enforce size limits."""
-    cfg = config or SolverConfig()
     if method not in STEADY_METHODS:
         raise SpecError(f"unknown method {method!r}; expected one of {STEADY_METHODS}")
-    dense_cap = 2**cfg.dense_max_sites
-    evolve_cap = 2**cfg.evolve_max_sites
+    dense_cap = 2**SOLVER.dense_max_sites
+    evolve_cap = 2**SOLVER.evolve_max_sites
     if method == "auto":
         if dim <= dense_cap:
             return "dense_null"
         if dim <= evolve_cap:
             return "evolve"
         raise SpecError(
-            f"Hilbert dimension {dim} exceeds the evolve limit 2^{cfg.evolve_max_sites}"
+            f"Hilbert dimension {dim} exceeds the evolve limit 2^{SOLVER.evolve_max_sites}"
         )
     if method == "dense_null" and dim > dense_cap:
         raise SpecError(
-            f"dense_null is limited to Hilbert dimension 2^{cfg.dense_max_sites}, got {dim}"
+            f"dense_null is limited to Hilbert dimension 2^{SOLVER.dense_max_sites}, got {dim}"
         )
     if method == "evolve" and dim > evolve_cap:
         raise SpecError(
-            f"evolve is limited to Hilbert dimension 2^{cfg.evolve_max_sites}, got {dim}"
+            f"evolve is limited to Hilbert dimension 2^{SOLVER.evolve_max_sites}, got {dim}"
         )
     return method
 
@@ -314,9 +315,7 @@ class SteadyState:
     wall_ms: float
 
 
-def steady_state(
-    liouv: Liouvillian, method: str = "auto", config: SolverConfig | None = None
-) -> SteadyState:
+def steady_state(liouv: Liouvillian, method: str = "auto") -> SteadyState:
     """Solve for the unique trace-one fixed point of the generator.
 
     dense_null (a historical name) is a sparse shift-invert zero mode: one
@@ -325,33 +324,31 @@ def steady_state(
     from the maximally mixed state until the per-step change stalls. Both
     paths end with trace normalization, Hermitization, and a residual check.
     """
-    cfg = config or SolverConfig()
     if not liouv.jumps:
         raise SpecError(
             "steady_state needs at least one jump operator; a closed system has "
             "no unique fixed point"
         )
-    resolved = resolve_method(liouv.dim, method, cfg)
+    resolved = resolve_method(liouv.dim, method)
     start = time.perf_counter()
     if resolved == "dense_null":
-        candidate = _dense_null_candidate(liouv, cfg)
+        candidate = _dense_null_candidate(liouv)
     else:
-        candidate = _evolve_candidate(liouv, cfg)
-    return _finalize_steady(liouv, candidate, cfg, resolved, start)
+        candidate = _evolve_candidate(liouv)
+    return _finalize_steady(liouv, candidate, resolved, start)
 
 
-def _finalize_steady(liouv: Liouvillian, rho: np.ndarray, cfg: SolverConfig, method: str,
-                     start: float) -> SteadyState:
+def _finalize_steady(liouv: Liouvillian, rho: np.ndarray, method: str, start: float) -> SteadyState:
     tr = np.trace(rho)
     if abs(tr) < 1e-8:
         raise NumericalError(f"candidate steady state has near-zero trace {abs(tr):.3e}")
     rho = rho / tr
     rho = 0.5 * (rho + rho.conj().T)
     residual = liouvillian_residual(liouv, rho)
-    if residual > cfg.residual_tol:
-        message = f"steady-state residual {residual:.3e} exceeds {cfg.residual_tol:.1e}"
+    if residual > SOLVER.residual_tol:
+        message = f"steady-state residual {residual:.3e} exceeds {SOLVER.residual_tol:.1e}"
         raise NoConvergenceError(message) if method == "evolve" else NumericalError(message)
-    validate_state(rho, cfg)
+    validate_state(rho)
     wall_ms = round((time.perf_counter() - start) * 1e3, 3)
     return SteadyState(rho, method, residual, wall_ms)
 
@@ -372,13 +369,13 @@ def _zero_mode(matrix: scipy.sparse.csc_matrix) -> tuple[np.ndarray, np.ndarray]
     return np.abs(values[order]), vectors[:, order[0]]
 
 
-def _dense_null_candidate(liouv: Liouvillian, cfg: SolverConfig) -> np.ndarray:
+def _dense_null_candidate(liouv: Liouvillian) -> np.ndarray:
     """The sparse shift-invert zero mode, refused unless the kernel is one-dimensional."""
     magnitudes, vector = _zero_mode(liouv.matrix)
-    if np.count_nonzero(magnitudes < cfg.unique_tol) >= 2:
+    if np.count_nonzero(magnitudes < SOLVER.unique_tol) >= 2:
         raise NonUniqueSteadyStateError(
             f"the two eigenvalues nearest zero have magnitudes {magnitudes[0]:.3e} "
-            f"and {magnitudes[1]:.3e}, both below {cfg.unique_tol:.1e}; "
+            f"and {magnitudes[1]:.3e}, both below {SOLVER.unique_tol:.1e}; "
             "the steady state is not unique"
         )
     # the zero mode of a certified one-dimensional kernel is the steady state
@@ -393,15 +390,12 @@ def _spectral_bound(liouv: Liouvillian) -> float:
     return bound
 
 
-def _evolve_candidate(liouv: Liouvillian, cfg: SolverConfig) -> np.ndarray:
-    dt = cfg.evolve_dt
-    if dt is None:
-        bound = _spectral_bound(liouv)
-        dt = 1.0 / bound if bound > 0 else 1.0
+def _evolve_candidate(liouv: Liouvillian) -> np.ndarray:
+    """Integrate from the maximally mixed state with a step from the spectral bound."""
+    bound = _spectral_bound(liouv)
+    dt = 1.0 / bound if bound > 0 else 1.0
     rho0 = np.eye(liouv.dim, dtype=complex) / liouv.dim
-    return evolve(
-        liouv, rho0, dt, cfg.evolve_max_steps, stop_change=cfg.evolve_conv_tol, config=cfg
-    )
+    return evolve(liouv, rho0, dt, SOLVER.evolve_max_steps, stop_change=SOLVER.evolve_conv_tol)
 
 
 def evolve(
@@ -411,7 +405,6 @@ def evolve(
     steps: int,
     *,
     stop_change: float | None = None,
-    config: SolverConfig | None = None,
 ) -> np.ndarray:
     """Fixed-step classical Runge-Kutta (4th order) integration of the master equation.
 
@@ -419,7 +412,6 @@ def evolve(
     change falls below it and raises NoConvergenceError if that never
     happens within ``steps``. The trace is monitored, not renormalized.
     """
-    cfg = config or SolverConfig()
     if dt <= 0:
         raise SpecError(f"dt must be positive, got {dt}")
     rho = np.array(rho0, dtype=complex)
@@ -435,7 +427,8 @@ def evolve(
         new = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         change = float(np.abs(new - rho).max())
         rho = new
-        if stop_change is not None and step + 1 >= cfg.evolve_min_steps and change <= stop_change:
+        if (stop_change is not None and step + 1 >= SOLVER.evolve_min_steps
+                and change <= stop_change):
             converged = True
             break
     if not converged:
@@ -444,20 +437,19 @@ def evolve(
             f"(last per-step change {change:.3e})"
         )
     drift = abs(np.trace(rho) - trace_start)
-    if drift > cfg.trace_drift_tol:
+    if drift > SOLVER.trace_drift_tol:
         raise NumericalError(f"trace drifted by {drift:.3e} over the run")
     return rho
 
 
-def expectation(rho: np.ndarray, obs: np.ndarray, config: SolverConfig | None = None) -> float:
+def expectation(rho: np.ndarray, obs: np.ndarray) -> float:
     """Real expectation value tr(rho * obs) of a Hermitian observable."""
-    cfg = config or SolverConfig()
     rho = np.asarray(rho, dtype=complex)
     obs = np.asarray(obs, dtype=complex)
     if rho.shape != obs.shape:
         raise ShapeError(f"state shape {rho.shape} vs observable shape {obs.shape}")
     value = complex(np.einsum("ij,ji->", rho, obs))
-    if abs(value.imag) > cfg.imag_tol:
+    if abs(value.imag) > SOLVER.imag_tol:
         raise NumericalError(
             f"expectation value has imaginary part {value.imag:.3e}; "
             "check that the observable is Hermitian and the state is physical"
@@ -490,19 +482,18 @@ class CurrentsProfile:
     energy_total_spread: float
 
 
-def currents_profile(
-    rho: np.ndarray, spec: ChainSpec, config: SolverConfig | None = None
-) -> CurrentsProfile:
-    cfg = config or SolverConfig()
+def currents_profile(rho: np.ndarray, spec: ChainSpec) -> CurrentsProfile:
     n = spec.n_sites
-    spin = tuple(
-        expectation(rho, spin_current_op(spec, j), cfg) for j in range(1, n)
-    )
+    spin = tuple(expectation(rho, spin_current_op(spec, j)) for j in range(1, n))
     energy_xxz = tuple(
-        expectation(rho, energy_current_xxz_op(spec, j), cfg) for j in range(2, n)
+        expectation(rho, energy_current_xxz_op(spec, j)) for j in range(2, n)
     )
+    # a site without field carries no field current; adding 0.0 there keeps a
+    # zero total +0.0, as the expectation value of the zero operator was
     energy_total = tuple(
-        exchange + expectation(rho, energy_current_field_op(spec, j), cfg)
+        exchange + (
+            expectation(rho, energy_current_field_op(spec, j)) if spec.b_field[j - 1] else 0.0
+        )
         for j, exchange in zip(range(2, n), energy_xxz)
     )
     return CurrentsProfile(
@@ -521,24 +512,17 @@ def currents_profile(
 _STEADY_CACHE_SIZE = 8
 
 
-def chain_steady_state(
-    spec: ChainSpec,
-    diss: DissipatorSpec,
-    method: str = "auto",
-    config: SolverConfig | None = None,
-) -> SteadyState:
+def chain_steady_state(spec: ChainSpec, diss: DissipatorSpec, method: str = "auto") -> SteadyState:
     """Hamiltonian + jumps + steady-state solve, memoised per argument set.
 
     The returned record is shared between calls, so its ``rho`` is read-only.
     """
-    return _cached_chain_steady_state(spec, diss, method, config or SolverConfig())
+    return _cached_chain_steady_state(spec, diss, method)
 
 
 @lru_cache(maxsize=_STEADY_CACHE_SIZE)
-def _cached_chain_steady_state(
-    spec: ChainSpec, diss: DissipatorSpec, method: str, cfg: SolverConfig
-) -> SteadyState:
+def _cached_chain_steady_state(spec: ChainSpec, diss: DissipatorSpec, method: str) -> SteadyState:
     liouv = build_liouvillian(build_hamiltonian(spec), jump_operators(diss, spec.n_sites))
-    solved = steady_state(liouv, method=method, config=cfg)
+    solved = steady_state(liouv, method=method)
     solved.rho.flags.writeable = False
     return solved

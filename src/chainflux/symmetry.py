@@ -18,8 +18,8 @@ import numpy as np
 from .chain import ChainSpec
 from .errors import SpecError
 from .lindblad import (
+    SOLVER,
     DissipatorSpec,
-    SolverConfig,
     TargetZ,
     TwistedXY,
     central,
@@ -97,10 +97,7 @@ class ConjugationReport:
 
 
 def check_conjugation_identity(
-    spec: ChainSpec,
-    diss: DissipatorSpec,
-    method: str = "auto",
-    config: SolverConfig | None = None,
+    spec: ChainSpec, diss: DissipatorSpec, method: str = "auto"
 ) -> ConjugationReport:
     """Certify that the transported steady state solves the inverted-bath system.
 
@@ -108,17 +105,16 @@ def check_conjugation_identity(
     family's unitary, and reports the max entrywise deviation from the
     inverted-bath steady state.
     """
-    cfg = config or SolverConfig()
     _require_zero_field(spec, "the conjugation identity")
     _require_antisymmetric(diss)
-    rho = chain_steady_state(spec, diss, method=method, config=cfg).rho
-    rho_inverted = chain_steady_state(spec, invert_baths(diss), method=method, config=cfg).rho
+    rho = chain_steady_state(spec, diss, method=method).rho
+    rho_inverted = chain_steady_state(spec, invert_baths(diss), method=method).rho
     u = conjugation_unitary(diss, spec.n_sites)
     transported = u @ rho @ u.conj().T
     max_error = float(np.abs(transported - rho_inverted).max())
     return ConjugationReport(
         max_error=max_error,
-        passed=max_error <= cfg.conjugation_tol,
+        passed=max_error <= SOLVER.conjugation_tol,
         transformation="x-flip" if isinstance(diss, TargetZ) else "xy-rotation",
     )
 
@@ -145,18 +141,12 @@ class ParityReport:
     f_total_asymmetry: float
 
 
-def parity_report(
-    spec: ChainSpec,
-    diss: DissipatorSpec,
-    method: str = "auto",
-    config: SolverConfig | None = None,
-) -> ParityReport:
-    cfg = config or SolverConfig()
+def parity_report(spec: ChainSpec, diss: DissipatorSpec, method: str = "auto") -> ParityReport:
     _require_antisymmetric(diss)
-    rho = chain_steady_state(spec, diss, method=method, config=cfg).rho
-    rho_inverted = chain_steady_state(spec, invert_baths(diss), method=method, config=cfg).rho
-    forward = currents_profile(rho, spec, cfg)
-    inverted = currents_profile(rho_inverted, spec, cfg)
+    rho = chain_steady_state(spec, diss, method=method).rho
+    rho_inverted = chain_steady_state(spec, invert_baths(diss), method=method).rho
+    forward = currents_profile(rho, spec)
+    inverted = currents_profile(rho_inverted, spec)
     j_fwd, j_inv = central(forward.spin), central(inverted.spin)
     fx_fwd, fx_inv = central(forward.energy_xxz), central(inverted.energy_xxz)
     ft_fwd, ft_inv = central(forward.energy_total), central(inverted.energy_total)
@@ -202,7 +192,6 @@ def energy_current_direction_scan(
     *,
     bath: DissipatorSpec = TargetZ(0.0, 0.0),
     method: str = "auto",
-    config: SolverConfig | None = None,
 ) -> DirectionScan:
     """Scan the exchange energy current over a driving grid and its inversion.
 
@@ -212,16 +201,15 @@ def energy_current_direction_scan(
     scan is consistent when the sign never changes (magnitudes below the sign
     floor count as zero).
     """
-    cfg = config or SolverConfig()
     _require_zero_field(spec, "the direction scan")
     if spec.n_sites < 3:
         raise SpecError("the energy current needs at least 3 sites")
     rows = []
     signs = set()
     for drive in drive_grid:
-        report = parity_report(spec, bath.with_drive(float(drive)), method=method, config=cfg)
-        s_fwd = _sign(report.f_xxz_forward, cfg.sign_floor)
-        s_inv = _sign(report.f_xxz_inverted, cfg.sign_floor)
+        report = parity_report(spec, bath.with_drive(float(drive)), method=method)
+        s_fwd = _sign(report.f_xxz_forward, SOLVER.sign_floor)
+        s_inv = _sign(report.f_xxz_inverted, SOLVER.sign_floor)
         rows.append(
             DirectionScanRow(
                 drive=float(drive),

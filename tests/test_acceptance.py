@@ -23,7 +23,6 @@ from chainflux.classical import (
     rectification_experiment,
 )
 from chainflux.lindblad import (
-    SolverConfig,
     TargetZ,
     TwistedXY,
     build_liouvillian,
@@ -36,8 +35,6 @@ from chainflux.lindblad import (
 )
 from chainflux.symmetry import check_conjugation_identity
 
-CFG = SolverConfig()
-
 _SOLVES: dict = {}
 
 
@@ -48,8 +45,8 @@ def _solve(spec, diss, method="dense_null"):
         liouv = build_liouvillian(
             build_hamiltonian(spec), jump_operators(diss, spec.n_sites)
         )
-        rho = steady_state(liouv, method=method, config=CFG).rho
-        profile = currents_profile(rho, spec, CFG)
+        rho = steady_state(liouv, method=method).rho
+        profile = currents_profile(rho, spec)
         _SOLVES[key] = (spec, liouv, rho, profile)
     return _SOLVES[key]
 
@@ -157,9 +154,9 @@ def test_criterion_06_conjugation_identities():
     for n_sites in (2, 3, 4):
         deltas = tuple(np.linspace(0.5, 1.5, n_sites - 1)) if n_sites > 2 else (1.0,)
         spec = ChainSpec(n_sites, alpha=1.0, delta=deltas, b_field=(0.0,) * n_sites)
-        target = check_conjugation_identity(spec, TargetZ(0.5, -0.5), config=CFG)
+        target = check_conjugation_identity(spec, TargetZ(0.5, -0.5))
         assert target.max_error <= 1e-8, ("target_z", n_sites, target.max_error)
-        twisted = check_conjugation_identity(spec, TwistedXY(0.6, -0.6), config=CFG)
+        twisted = check_conjugation_identity(spec, TwistedXY(0.6, -0.6))
         assert twisted.max_error <= 1e-8, ("twisted_xy", n_sites, twisted.max_error)
 
 
@@ -248,7 +245,7 @@ def test_criterion_10_method_oracle_equivalence():
                 k_prime=float(rng.uniform(-0.9, 0.9)),
                 rate=float(rng.uniform(0.5, 2.0)),
             )
-        dense = chain_steady_state(spec, diss, method="dense_null", config=CFG).rho
-        evolved = chain_steady_state(spec, diss, method="evolve", config=CFG).rho
+        dense = chain_steady_state(spec, diss, method="dense_null").rho
+        evolved = chain_steady_state(spec, diss, method="evolve").rho
         gap = float(np.abs(dense - evolved).max())
         assert gap <= 1e-7, (trial, n_sites, diss, gap)

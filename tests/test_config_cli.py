@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -84,6 +85,51 @@ def test_load_config_rejects_unknown_keys(tmp_path):
             load_config(path)
 
 
+# the SolverConfig fields, evolve_dt included, that a config file could once set
+FORMER_SOLVER_KEYS = {
+    "residual_tol": 1e-9, "unique_tol": 1e-10, "trace_tol": 1e-10,
+    "hermiticity_tol": 1e-10, "positivity_tol": 1e-9, "imag_tol": 1e-9,
+    "conjugation_tol": 1e-8, "sign_floor": 1e-9, "dense_max_sites": 6,
+    "evolve_max_sites": 10, "evolve_dt": 0.01, "evolve_max_steps": 1_000_000,
+    "evolve_conv_tol": 1e-12, "evolve_min_steps": 10, "trace_drift_tol": 1e-8,
+}
+
+
+@pytest.mark.parametrize("key", sorted(FORMER_SOLVER_KEYS))
+def test_load_config_refuses_solver_thresholds(tmp_path, key):
+    # the thresholds are fixed; the solver section takes only method and workers
+    path = _write_config(tmp_path, "c.json", {
+        "model": GRADED_MODEL,
+        "bath": {"family": "target_z", "f": 0.5},
+        "solver": {"method": "auto", "workers": 1, key: FORMER_SOLVER_KEYS[key]},
+    })
+    with pytest.raises(SpecError, match=f"unknown keys in 'solver' section: \\['{key}'\\]"):
+        load_config(path)
+
+
+_STEADY_BASE = {"model": {"n_sites": 3, "alpha": 1.0, "delta": [1.0, 1.0]},
+                "bath": {"family": "target_z", "f": 0.5}}
+
+
+@pytest.mark.parametrize("command, payload, message", [
+    ("steady", {**_STEADY_BASE, "model": {"n_sites": 3, "alpha": 1.0, "delta": ["x", 1.0]}},
+     "'model.delta' entries must be numbers, got 'x'"),
+    ("classical", {"classical": {"c": [1.0, None, 2.0], "t_left": 2.0, "t_right": 1.0}},
+     "'classical.c' entries must be numbers, got None"),
+    ("steady", {**_STEADY_BASE, "model": {"n_sites": 3, "alpha": 1.0, "delta": [1.0, 1.0],
+                                         "b_field": [0.1, "0.2", 0.0]}},
+     "'model.b_field' entries must be numbers, got '0.2'"),
+    ("steady", {**_STEADY_BASE, "output": []}, "'output' section must be a JSON object"),
+    ("steady", {**_STEADY_BASE, "model": "oops"}, "'model' section must be a JSON object"),
+], ids=["delta", "c", "b_field", "output", "model"])
+def test_cli_malformed_section_is_a_config_error(tmp_path, capsys, command, payload, message):
+    config = _write_config(tmp_path, "c.json", payload)
+    out = tmp_path / "never.csv"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_load_config_rejects_unknown_sweep_parameter(tmp_path):
     path = _write_config(tmp_path, "c.json", {
         "model": GRADED_MODEL,
@@ -95,13 +141,14 @@ def test_load_config_rejects_unknown_sweep_parameter(tmp_path):
 
 
 def test_load_config_rejects_empty_grid(tmp_path):
-    path = _write_config(tmp_path, "c.json", {
-        "model": GRADED_MODEL,
-        "bath": {"family": "target_z", "f": 0.5},
-        "sweep": {"parameter": "f", "grid": []},
-    })
-    with pytest.raises(SpecError):
-        load_config(path)
+    for grid in ([], [0.1, True]):
+        path = _write_config(tmp_path, "c.json", {
+            "model": GRADED_MODEL,
+            "bath": {"family": "target_z", "f": 0.5},
+            "sweep": {"parameter": "f", "grid": grid},
+        })
+        with pytest.raises(SpecError, match="'sweep.grid'"):
+            load_config(path)
 
 
 def test_load_config_rejects_family_mismatch(tmp_path):
@@ -444,6 +491,14 @@ def test_cmd_classical_symmetric_chain_zero_gap(tmp_path):
     assert main(["classical", "--config", str(config)]) == 0
     _, _, rows = _read_csv(tmp_path / "cls.csv")
     assert abs(float(rows[0]["rectification_gap"])) < 1e-12
+
+
+@pytest.mark.parametrize("command, name", [("steady", "steady_n3.json"),
+                                           ("classical", "classical_n3.json")])
+def test_ci_smoke_configs_run(tmp_path, command, name):
+    # the configs the CI workflow feeds to the installed chainflux script
+    config = Path(__file__).parent / "configs" / name
+    assert main([command, "--config", str(config), "--out", str(tmp_path / "out.csv")]) == 0
 
 
 def test_cli_requires_output_path(tmp_path):

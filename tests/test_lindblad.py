@@ -206,16 +206,15 @@ def test_chain_steady_state_is_memoised_and_read_only(monkeypatch):
     _cached_chain_steady_state.cache_clear()
     methods = []
 
-    def counting(liouv, method="auto", config=None):
+    def counting(liouv, method="auto"):
         methods.append(method)
-        return steady_state(liouv, method=method, config=config)
+        return steady_state(liouv, method=method)
 
     monkeypatch.setattr(lindblad, "steady_state", counting)
     spec = expand_graded(GradedProfile(1.0, 0.5), 3)
     diss = TargetZ(0.5, -0.5)
     first = chain_steady_state(spec, diss)
-    # config=None and the default SolverConfig are one cache key
-    assert chain_steady_state(spec, diss, config=SolverConfig()) is first
+    assert chain_steady_state(spec, diss) is first
     assert methods == ["auto"]
     assert first.method == "dense_null"
     assert not first.rho.flags.writeable
@@ -223,6 +222,46 @@ def test_chain_steady_state_is_memoised_and_read_only(monkeypatch):
         first.rho[0, 0] = 0.0
     chain_steady_state(spec, diss, method="dense_null")
     assert methods == ["auto", "dense_null"]
+
+
+def test_solver_thresholds_are_the_fixed_contract():
+    assert lindblad.SOLVER == SolverConfig()
+    assert dataclasses.asdict(lindblad.SOLVER) == {
+        "residual_tol": 1e-9,
+        "unique_tol": 1e-10,
+        "trace_tol": 1e-10,
+        "hermiticity_tol": 1e-10,
+        "positivity_tol": 1e-9,
+        "imag_tol": 1e-9,
+        "conjugation_tol": 1e-8,
+        "sign_floor": 1e-9,
+        "dense_max_sites": 6,
+        "evolve_max_sites": 10,
+        "evolve_max_steps": 1_000_000,
+        "evolve_conv_tol": 1e-12,
+        "evolve_min_steps": 10,
+        "trace_drift_tol": 1e-8,
+    }
+
+
+@pytest.mark.parametrize("b_field, field_ops", [((0.0,) * 4, 0), ((0.0, 0.3, 0.0, 0.0), 1)])
+def test_currents_profile_builds_field_currents_only_where_the_field_is(monkeypatch, b_field,
+                                                                       field_ops):
+    spec = ChainSpec(4, alpha=1.0, delta=(0.5, 1.0, 1.5), b_field=b_field)
+    rho = chain_steady_state(spec, TargetZ(0.5, -0.5)).rho
+    built = []
+    original = lindblad.energy_current_field_op
+
+    def counting(spec, site):
+        built.append(site)
+        return original(spec, site)
+
+    monkeypatch.setattr(lindblad, "energy_current_field_op", counting)
+    profile = currents_profile(rho, spec)
+    assert len(built) == field_ops
+    field = [expectation(rho, original(spec, j)) for j in (2, 3)]
+    assert profile.energy_total == tuple(
+        x + f for x, f in zip(profile.energy_xxz, field))
 
 
 def test_steady_state_record_reports_the_solve():
