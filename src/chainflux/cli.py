@@ -174,6 +174,10 @@ def cmd_symmetry(config: ExperimentConfig) -> list[dict]:
     inputs = {**_model_cells(chain), **_bath_cells(diss)}
     drive = diss.drive
     if config.sweep is not None:
+        # the scan grid is a drive grid; any other swept parameter means something else
+        _require(config.sweep.parameter in ("f", "k"),
+                 "the symmetry command takes only a drive sweep ('f' or 'k'), "
+                 f"got {config.sweep.parameter!r}")
         grid = config.sweep.grid
     else:
         grid = (0.2, 0.5, 0.8) if isinstance(diss, TargetZ) else (drive,)
@@ -272,7 +276,9 @@ def cmd_classical(config: ExperimentConfig) -> list[dict]:
         wall_ms = round((time.perf_counter() - start) * 1e3, 3)
         predicted = math.nan
         eps = value if parameter == "eps" else section.eps
-        if section.base_t is not None and len(section.c) == 3 and eps is not None:
+        # a swept edge temperature is no longer base_t + a_edge * eps
+        if (section.base_t is not None and len(section.c) == 3 and eps is not None
+                and parameter not in ("t_left", "t_right")):
             setup = LinearizedSetup(section.base_t, (section.a_left, 0.0, section.a_right), eps)
             predicted = conductivity_gap(setup, section.c, chain.alpha_exp)
         return {
@@ -343,25 +349,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = load_config(args.config)
-        if args.method is not None:
-            config = dataclasses.replace(config, method=args.method)
-        if args.workers is not None:
-            if args.workers < 1:
-                raise SpecError("--workers must be a positive integer")
-            config = dataclasses.replace(config, workers=args.workers)
-        out_path = args.out or config.output.path
-        fmt = args.format or config.output.format
-        if out_path is None:
+        config = load_config(args.config, {
+            "solver": {"method": args.method, "workers": args.workers},
+            "output": {"path": args.out, "format": args.format},
+        })
+        if not config.output.path:
             raise SpecError("no output path: set output.path in the config or pass --out")
-        resolved = dict(config.resolved)
-        resolved["output"] = {"path": str(out_path), "format": fmt}
-        resolved["solver"] = {**resolved["solver"], "method": config.method,
-                              "workers": config.workers}
-
         runner, columns = _COMMANDS[args.command]
         rows = runner(config)
-        _write_table(out_path, fmt, columns, rows, resolved)
+        _write_table(config.output.path, config.output.format, columns, rows, config.resolved)
     except SpecError as exc:
         print(f"chainflux: config error: {exc}", file=sys.stderr)
         return 2

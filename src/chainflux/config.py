@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -49,6 +50,8 @@ def _number(section: dict, key: str, name: str):
     value = section[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SpecError(f"'{name}.{key}' must be a number, got {value!r}")
+    if not math.isfinite(value):  # json.loads accepts NaN and Infinity
+        raise SpecError(f"'{name}.{key}' must be finite, got {value!r}")
     return value
 
 
@@ -59,6 +62,8 @@ def _numbers(section: dict, key: str, name: str) -> tuple[float, ...]:
     for value in values:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise SpecError(f"'{name}.{key}' entries must be numbers, got {value!r}")
+        if not math.isfinite(value):
+            raise SpecError(f"'{name}.{key}' entries must be finite, got {value!r}")
     return tuple(float(v) for v in values)
 
 
@@ -264,8 +269,14 @@ def _check_sweep_compatibility(cfg_sweep: SweepSection, model: ModelSection | No
         raise SpecError("sweep parameter 'b' needs a uniform field model")
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
-    """Parse and validate a config file; raises SpecError on any defect."""
+def load_config(path: str | Path, overrides: dict | None = None) -> ExperimentConfig:
+    """Parse and validate a config file; raises SpecError on any defect.
+
+    ``overrides`` maps section names to entries that replace the file's
+    before anything is parsed (the CLI flags: ``{"solver": {"method": ...,
+    "workers": ...}, "output": {"path": ..., "format": ...}}``), so they are
+    checked like file entries. None entries are dropped.
+    """
     path = Path(path)
     try:
         text = path.read_text()
@@ -281,6 +292,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
     for name, section in data.items():
         if not isinstance(section, dict):
             raise SpecError(f"'{name}' section must be a JSON object, got {section!r}")
+    for name, entries in (overrides or {}).items():
+        given = {key: value for key, value in entries.items() if value is not None}
+        data[name] = {**data.get(name, {}), **given}
 
     model = _parse_model(data["model"]) if "model" in data else None
     bath = _parse_bath(data["bath"]) if "bath" in data else None
@@ -305,7 +319,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise SpecError(f"'output.format' must be one of {OUTPUT_FORMATS}, got {fmt!r}")
     output = OutputSection(path=output_section.get("path"), format=fmt)
 
-    return ExperimentConfig(
+    config = ExperimentConfig(
         model=model,
         bath=bath,
         classical=classical,
@@ -315,6 +329,13 @@ def load_config(path: str | Path) -> ExperimentConfig:
         output=output,
         resolved=_resolve_echo(model, bath, classical, method, workers, sweep, output),
     )
+    # resolve every grid point, so an out-of-domain one is a config error before any solve
+    for value in sweep.grid if sweep is not None else ():
+        if model is None and classical is not None:
+            classical_chain_for(config, sweep.parameter, value)
+        elif model is not None and bath is not None:
+            apply_sweep_value(config, value)
+    return config
 
 
 def _resolve_echo(model, bath, classical, method, workers, sweep, output) -> dict:

@@ -66,10 +66,12 @@ class SolverConfig:
     residual_tol: float = 1e-9        # sup-norm of the generator applied to rho_ss
     unique_tol: float = 1e-10         # eigenvalue magnitude counted as a zero mode
     trace_tol: float = 1e-10
+    trace_floor: float = 1e-8         # a candidate steady state with smaller |trace| is refused
     hermiticity_tol: float = 1e-10
     positivity_tol: float = 1e-9      # min eigenvalue >= -positivity_tol
     imag_tol: float = 1e-9            # allowed imaginary part of an expectation value
     conjugation_tol: float = 1e-8     # entrywise tolerance for transported steady states
+    antisymmetry_tol: float = 1e-12   # |f_left + f_right| or |k + k_prime| counted as antisymmetric
     sign_floor: float = 1e-9          # current magnitudes below this count as zero
     dense_max_sites: int = 6
     evolve_max_sites: int = 10
@@ -88,10 +90,14 @@ class TargetZ:
 
     Jump amplitudes are sqrt(gamma/2 * (1 +- f)) on the raising/lowering
     operators of the respective edge site, so |f| <= 1 keeps all rates
-    nonnegative and f = +1 pins the spin fully up.
+    nonnegative and f = +1 pins the spin fully up. Bath inversion swaps the
+    two drivings; the x flip on every site carries an antisymmetric setting
+    onto its inverted partner.
     """
 
     family: ClassVar[str] = "target_z"
+    conjugation_axis: ClassVar[str] = "x"
+    transformation: ClassVar[str] = "x-flip"
 
     f_left: float
     f_right: float
@@ -113,6 +119,15 @@ class TargetZ:
         """The antisymmetric setting f_left = drive = -f_right, other fields kept."""
         return dataclasses.replace(self, f_left=drive, f_right=-drive)
 
+    def inverted(self) -> "TargetZ":
+        """The bath-inverted partner: the two drivings trade places."""
+        return dataclasses.replace(self, f_left=self.f_right, f_right=self.f_left)
+
+    def require_antisymmetric(self) -> None:
+        if abs(self.f_left + self.f_right) > SOLVER.antisymmetry_tol:
+            raise SpecError("antisymmetric driving f_left = -f_right is required; for other "
+                            "drivings conjugation flips both signs instead of swapping the baths")
+
 
 @dataclass(frozen=True)
 class TwistedXY:
@@ -120,12 +135,15 @@ class TwistedXY:
 
     Site 1 carries the (z, x)-plane pair with parameter k, site N the
     (y, z)-plane pair with parameter k_prime. ``swapped`` exchanges the two
-    placements, which is how bath inversion is represented for this family.
-    ``rate`` is an overall multiplier on all four operators; the parity
-    results do not depend on it.
+    placements, which is how bath inversion is represented for this family;
+    the x/y-exchanging rotation on every site carries the k_prime = -k
+    setting onto its inverted partner. ``rate`` is an overall multiplier on
+    all four operators; the parity results do not depend on it.
     """
 
     family: ClassVar[str] = "twisted_xy"
+    conjugation_axis: ClassVar[str] = "r"
+    transformation: ClassVar[str] = "xy-rotation"
 
     k: float
     k_prime: float
@@ -145,6 +163,15 @@ class TwistedXY:
     def with_drive(self, drive: float) -> "TwistedXY":
         """The antisymmetric setting k = drive = -k_prime, other fields kept."""
         return dataclasses.replace(self, k=drive, k_prime=-drive)
+
+    def inverted(self) -> "TwistedXY":
+        """The bath-inverted partner: the two operator pairs trade sites."""
+        return dataclasses.replace(self, swapped=not self.swapped)
+
+    def require_antisymmetric(self) -> None:
+        if abs(self.k + self.k_prime) > SOLVER.antisymmetry_tol:
+            raise SpecError("k_prime = -k is required for the rotation to map the jump set "
+                            "onto the inverted-bath jump set")
 
 
 DissipatorSpec = TargetZ | TwistedXY
@@ -340,7 +367,7 @@ def steady_state(liouv: Liouvillian, method: str = "auto") -> SteadyState:
 
 def _finalize_steady(liouv: Liouvillian, rho: np.ndarray, method: str, start: float) -> SteadyState:
     tr = np.trace(rho)
-    if abs(tr) < 1e-8:
+    if abs(tr) < SOLVER.trace_floor:
         raise NumericalError(f"candidate steady state has near-zero trace {abs(tr):.3e}")
     rho = rho / tr
     rho = 0.5 * (rho + rho.conj().T)
@@ -522,6 +549,7 @@ def chain_steady_state(spec: ChainSpec, diss: DissipatorSpec, method: str = "aut
 
 @lru_cache(maxsize=_STEADY_CACHE_SIZE)
 def _cached_chain_steady_state(spec: ChainSpec, diss: DissipatorSpec, method: str) -> SteadyState:
+    resolve_method(spec.dim, method)  # refuse an oversize run before building any operator
     liouv = build_liouvillian(build_hamiltonian(spec), jump_operators(diss, spec.n_sites))
     solved = steady_state(liouv, method=method)
     solved.rho.flags.writeable = False

@@ -1,16 +1,16 @@
-"""Global transformations, bath inversion, and parity certification.
+"""Global transformations and parity certification.
 
 Two unitaries connect a boundary-driven chain to its bath-inverted partner:
 an x-flip on every site for the target-polarization family, and a per-site
 rotation exchanging x and y (while flipping z) for the twisted-XY family.
-Conjugating the steady state with the matching unitary must reproduce the
-steady state of the inverted-bath system; the reports here measure how well
-that holds and what it implies for the currents.
+Each bath spec carries its own inversion, conjugation axis and antisymmetry
+rule. Conjugating the steady state with the matching unitary must reproduce
+the steady state of the inverted-bath system; the reports here measure how
+well that holds and what it implies for the currents.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,44 +21,11 @@ from .lindblad import (
     SOLVER,
     DissipatorSpec,
     TargetZ,
-    TwistedXY,
     central,
     chain_steady_state,
     currents_profile,
 )
 from .pauli import kron_chain, pauli
-
-
-def u_x(n_sites: int) -> np.ndarray:
-    """Tensor power of the x Pauli over the whole chain (involutive, unitary)."""
-    if n_sites < 1:
-        raise SpecError(f"n_sites must be >= 1, got {n_sites}")
-    return kron_chain([pauli("x")] * n_sites)
-
-
-def u_r(n_sites: int) -> np.ndarray:
-    """Tensor power of the x/y-exchanging rotation over the whole chain.
-
-    Conjugation rho -> U rho U^dag with this unitary maps the twisted-XY
-    dissipator (k_prime = -k) onto its bath-inverted counterpart.
-    """
-    if n_sites < 1:
-        raise SpecError(f"n_sites must be >= 1, got {n_sites}")
-    return kron_chain([pauli("r")] * n_sites)
-
-
-def invert_baths(spec: DissipatorSpec) -> DissipatorSpec:
-    """The bath-inverted counterpart of a dissipator spec.
-
-    For the target-polarization family inversion is a plain swap of the two
-    drivings; for twisted XY the two operator pairs trade places (keeping
-    their own parameters).
-    """
-    if isinstance(spec, TargetZ):
-        return dataclasses.replace(spec, f_left=spec.f_right, f_right=spec.f_left)
-    if isinstance(spec, TwistedXY):
-        return dataclasses.replace(spec, swapped=not spec.swapped)
-    raise SpecError(f"unknown dissipator spec {type(spec).__name__}")
 
 
 def _require_zero_field(spec: ChainSpec, what: str) -> None:
@@ -69,24 +36,11 @@ def _require_zero_field(spec: ChainSpec, what: str) -> None:
         )
 
 
-def _require_antisymmetric(diss: DissipatorSpec) -> None:
-    if isinstance(diss, TargetZ):
-        if abs(diss.f_left + diss.f_right) > 1e-12:
-            raise SpecError(
-                "antisymmetric driving f_left = -f_right is required; for other "
-                "drivings conjugation flips both signs instead of swapping the baths"
-            )
-    elif isinstance(diss, TwistedXY):
-        if abs(diss.k + diss.k_prime) > 1e-12:
-            raise SpecError(
-                "k_prime = -k is required for the rotation to map the jump set "
-                "onto the inverted-bath jump set"
-            )
-
-
 def conjugation_unitary(diss: DissipatorSpec, n_sites: int) -> np.ndarray:
-    """The unitary whose conjugation implements bath inversion for this family."""
-    return u_x(n_sites) if isinstance(diss, TargetZ) else u_r(n_sites)
+    """The product unitary whose conjugation implements bath inversion for this family."""
+    if n_sites < 1:
+        raise SpecError(f"n_sites must be >= 1, got {n_sites}")
+    return kron_chain([pauli(diss.conjugation_axis)] * n_sites)
 
 
 @dataclass(frozen=True)
@@ -106,16 +60,16 @@ def check_conjugation_identity(
     inverted-bath steady state.
     """
     _require_zero_field(spec, "the conjugation identity")
-    _require_antisymmetric(diss)
+    diss.require_antisymmetric()
     rho = chain_steady_state(spec, diss, method=method).rho
-    rho_inverted = chain_steady_state(spec, invert_baths(diss), method=method).rho
+    rho_inverted = chain_steady_state(spec, diss.inverted(), method=method).rho
     u = conjugation_unitary(diss, spec.n_sites)
     transported = u @ rho @ u.conj().T
     max_error = float(np.abs(transported - rho_inverted).max())
     return ConjugationReport(
         max_error=max_error,
         passed=max_error <= SOLVER.conjugation_tol,
-        transformation="x-flip" if isinstance(diss, TargetZ) else "xy-rotation",
+        transformation=diss.transformation,
     )
 
 
@@ -142,9 +96,9 @@ class ParityReport:
 
 
 def parity_report(spec: ChainSpec, diss: DissipatorSpec, method: str = "auto") -> ParityReport:
-    _require_antisymmetric(diss)
+    diss.require_antisymmetric()
     rho = chain_steady_state(spec, diss, method=method).rho
-    rho_inverted = chain_steady_state(spec, invert_baths(diss), method=method).rho
+    rho_inverted = chain_steady_state(spec, diss.inverted(), method=method).rho
     forward = currents_profile(rho, spec)
     inverted = currents_profile(rho_inverted, spec)
     j_fwd, j_inv = central(forward.spin), central(inverted.spin)

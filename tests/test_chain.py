@@ -13,8 +13,7 @@ from chainflux.chain import (
     spin_current_op,
 )
 from chainflux.errors import SpecError
-from chainflux.pauli import embed, pauli
-from chainflux.symmetry import u_r, u_x
+from chainflux.pauli import embed, kron_chain, pauli
 
 
 def _random_spec(rng, n_sites, uniform_b=False):
@@ -115,7 +114,7 @@ def test_x_flip_invariance_without_field():
     rng = np.random.default_rng(5)
     spec = ChainSpec(4, alpha=1.0, delta=tuple(rng.uniform(0.2, 1.5, 3)), b_field=(0.0,) * 4)
     h = build_hamiltonian(spec)
-    u = u_x(4)
+    u = kron_chain([pauli("x")] * 4)
     assert np.abs(u @ h @ u - h).max() < 1e-13
 
 
@@ -124,7 +123,7 @@ def test_x_flip_only_reverses_field_term():
     rng = np.random.default_rng(6)
     spec = _random_spec(rng, 3)
     h = build_hamiltonian(spec)
-    u = u_x(3)
+    u = kron_chain([pauli("x")] * 3)
     field = sum(
         b * embed(pauli("z"), j, 3) for j, b in enumerate(spec.b_field, start=1)
     )
@@ -138,14 +137,14 @@ def test_spin_current_zero_without_xy_coupling():
 
 def test_spin_current_odd_under_x_flip():
     spec = ChainSpec(3, alpha=1.0, delta=(0.5, 1.5), b_field=(0.0,) * 3)
-    u = u_x(3)
+    u = kron_chain([pauli("x")] * 3)
     j = spin_current_op(spec, 2)
     assert np.abs(u @ j @ u + j).max() < 1e-13
 
 
 def test_spin_current_odd_under_rotation():
     spec = ChainSpec(3, alpha=1.0, delta=(0.5, 1.5), b_field=(0.0,) * 3)
-    u = u_r(3)
+    u = kron_chain([pauli("r")] * 3)
     j = spin_current_op(spec, 1)
     assert np.abs(u @ j @ u.conj().T + j).max() < 1e-13
 
@@ -164,8 +163,8 @@ def test_current_operators_traceless_hermitian():
 def test_energy_current_even_under_both_transformations():
     spec = ChainSpec(4, alpha=1.0, delta=(0.4, 0.9, 1.4), b_field=(0.0,) * 4)
     f_op = energy_current_xxz_op(spec, 2)
-    ux = u_x(4)
-    ur = u_r(4)
+    ux = kron_chain([pauli("x")] * 4)
+    ur = kron_chain([pauli("r")] * 4)
     assert np.abs(ux @ f_op @ ux - f_op).max() < 1e-12
     assert np.abs(ur @ f_op @ ur.conj().T - f_op).max() < 1e-12
 
@@ -198,7 +197,7 @@ def test_field_current_matches_independent_assembly():
 def test_field_current_odd_under_x_flip():
     spec = ChainSpec(3, alpha=1.0, delta=(0.5, 1.5), b_field=(0.7,) * 3)
     op = energy_current_field_op(spec, 2)
-    u = u_x(3)
+    u = kron_chain([pauli("x")] * 3)
     assert np.abs(u @ op @ u + op).max() < 1e-13
 
 

@@ -121,7 +121,13 @@ _STEADY_BASE = {"model": {"n_sites": 3, "alpha": 1.0, "delta": [1.0, 1.0]},
      "'model.b_field' entries must be numbers, got '0.2'"),
     ("steady", {**_STEADY_BASE, "output": []}, "'output' section must be a JSON object"),
     ("steady", {**_STEADY_BASE, "model": "oops"}, "'model' section must be a JSON object"),
-], ids=["delta", "c", "b_field", "output", "model"])
+    ("steady", {**_STEADY_BASE, "model": {"n_sites": 3, "alpha": float("nan"),
+                                         "delta": [1.0, 1.0]}},
+     "'model.alpha' must be finite, got nan"),
+    ("classical", {"classical": {"c": [1.0, float("inf"), 2.0], "t_left": 2.0,
+                                 "t_right": 1.0}},
+     "'classical.c' entries must be finite, got inf"),
+], ids=["delta", "c", "b_field", "output", "model", "alpha_nan", "c_infinity"])
 def test_cli_malformed_section_is_a_config_error(tmp_path, capsys, command, payload, message):
     config = _write_config(tmp_path, "c.json", payload)
     out = tmp_path / "never.csv"
@@ -169,6 +175,20 @@ def test_load_config_delta_sweep_needs_graded_form(tmp_path):
     })
     with pytest.raises(SpecError):
         load_config(path)
+
+
+def test_cli_out_of_domain_grid_point_is_refused_before_any_solve(tmp_path, capsys,
+                                                                  monkeypatch):
+    solves = _count_calls(monkeypatch, "steady_state")
+    config = _write_config(tmp_path, "c.json", {
+        "model": {**GRADED_MODEL, "n_sites": 4},
+        "bath": {"family": "target_z", "f": 0.5},
+        "sweep": {"parameter": "f", "grid": [0.2, 0.4, 1.5]},
+        "output": {"path": str(tmp_path / "sweep.csv")},
+    })
+    assert main(["sweep", "--config", str(config)]) == 2
+    assert "config error: drivings must satisfy |f| <= 1" in capsys.readouterr().err
+    assert solves == []
 
 
 def test_apply_sweep_values(tmp_path):
@@ -336,6 +356,23 @@ def test_cmd_symmetry_refuses_field(tmp_path):
     assert not (tmp_path / "sym.csv").exists()
 
 
+@pytest.mark.parametrize("parameter, grid", [("gamma", [0.3, 0.9]), ("delta_step", [2.0])])
+def test_cmd_symmetry_refuses_a_sweep_that_is_not_a_drive(tmp_path, capsys, monkeypatch,
+                                                          parameter, grid):
+    solves = _count_calls(monkeypatch, "steady_state")
+    config = _write_config(tmp_path, "c.json", {
+        "model": GRADED_MODEL,
+        "bath": {"family": "target_z", "f": 0.5},
+        "sweep": {"parameter": parameter, "grid": grid},
+        "output": {"path": str(tmp_path / "sym.csv")},
+    })
+    assert main(["symmetry", "--config", str(config)]) == 2
+    assert (f"config error: the symmetry command takes only a drive sweep ('f' or 'k'), "
+            f"got '{parameter}'") in capsys.readouterr().err
+    assert solves == []
+    assert not (tmp_path / "sym.csv").exists()
+
+
 def test_cmd_sweep_parity_columns(tmp_path):
     config = _write_config(tmp_path, "c.json", {
         "model": GRADED_MODEL,
@@ -482,6 +519,20 @@ def test_cmd_classical_eps_sweep_matches_prediction(tmp_path):
     assert predictions[0] == pytest.approx(2 * predictions[1], rel=1e-12)
 
 
+def test_cmd_classical_edge_sweep_has_no_predicted_gap(tmp_path):
+    # a swept edge temperature is not base_t + a_edge * eps, so eps predicts nothing
+    config = _write_config(tmp_path, "c.json", {
+        "classical": {"c": [2.0, 1.5, 1.0], "alpha_exp": 1.0, "base_t": 1.0,
+                      "a_left": 1.0, "a_right": -1.0, "eps": 1e-3},
+        "sweep": {"parameter": "t_left", "grid": [1.001, 1.5]},
+        "output": {"path": str(tmp_path / "cls.csv")},
+    })
+    assert main(["classical", "--config", str(config)]) == 0
+    _, _, rows = _read_csv(tmp_path / "cls.csv")
+    assert [r["inv_kappa_gap_predicted"] for r in rows] == ["nan", "nan"]
+    assert float(rows[1]["inv_kappa_gap_measured"]) > 0.1
+
+
 def test_cmd_classical_symmetric_chain_zero_gap(tmp_path):
     config = _write_config(tmp_path, "c.json", {
         "classical": {"c": [1.0, 1.5, 1.0], "alpha_exp": 1.0, "t_left": 2.0,
@@ -494,6 +545,7 @@ def test_cmd_classical_symmetric_chain_zero_gap(tmp_path):
 
 
 @pytest.mark.parametrize("command, name", [("steady", "steady_n3.json"),
+                                           ("symmetry", "symmetry_n3.json"),
                                            ("classical", "classical_n3.json")])
 def test_ci_smoke_configs_run(tmp_path, command, name):
     # the configs the CI workflow feeds to the installed chainflux script
@@ -507,6 +559,14 @@ def test_cli_requires_output_path(tmp_path):
         "bath": {"family": "target_z", "f": 0.5},
     })
     assert main(["steady", "--config", str(config)]) == 2
+    # an empty --out replaces the config's path and counts as none
+    config = _write_config(tmp_path, "c.json", {
+        "model": GRADED_MODEL,
+        "bath": {"family": "target_z", "f": 0.5},
+        "output": {"path": str(tmp_path / "out.csv")},
+    })
+    assert main(["steady", "--config", str(config), "--out", ""]) == 2
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_cli_method_override_is_echoed(tmp_path):
@@ -518,3 +578,32 @@ def test_cli_method_override_is_echoed(tmp_path):
     assert main(["steady", "--config", str(config), "--method", "evolve"]) == 0
     _, _, rows = _read_csv(tmp_path / "out.csv")
     assert all(r["method"] == "evolve" for r in rows)
+
+
+def test_cli_workers_flag_is_checked_as_the_config_entry(tmp_path, capsys):
+    config = _write_config(tmp_path, "c.json", {
+        "model": GRADED_MODEL,
+        "bath": {"family": "target_z", "f": 0.5},
+        "output": {"path": str(tmp_path / "out.csv")},
+    })
+    assert main(["steady", "--config", str(config), "--workers", "0"]) == 2
+    assert ("config error: 'solver.workers' must be a positive integer, got 0"
+            in capsys.readouterr().err)
+
+
+def test_cli_flags_replace_the_config_entries(tmp_path):
+    # a flag replaces the file's entry before parsing, an invalid one included
+    config = _write_config(tmp_path, "c.json", {
+        "model": GRADED_MODEL,
+        "bath": {"family": "target_z", "f": 0.5},
+        "solver": {"method": "auto", "workers": "many"},
+        "output": {"path": str(tmp_path / "unused.csv"), "format": "json"},
+    })
+    out = tmp_path / "out.csv"
+    assert main(["steady", "--config", str(config), "--workers", "2", "--out", str(out),
+                 "--format", "csv"]) == 0
+    assert not (tmp_path / "unused.csv").exists()
+    header, _, _ = _read_csv(out)
+    echo = json.loads(header[1].removeprefix("# config: "))
+    assert echo["solver"]["workers"] == 2
+    assert echo["output"] == {"path": str(out), "format": "csv"}

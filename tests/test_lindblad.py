@@ -224,16 +224,33 @@ def test_chain_steady_state_is_memoised_and_read_only(monkeypatch):
     assert methods == ["auto", "dense_null"]
 
 
+@pytest.mark.parametrize("n_sites, method, message", [
+    (11, "auto", "exceeds the evolve limit 2\\^10"),
+    (7, "dense_null", "dense_null is limited to Hilbert dimension 2\\^6"),
+], ids=["n11_auto", "n7_dense_null"])
+def test_chain_steady_state_refuses_an_oversize_run_before_building(monkeypatch, n_sites,
+                                                                    method, message):
+    def refuse(spec):
+        raise AssertionError("the Hamiltonian of a refused run was built")
+
+    monkeypatch.setattr(lindblad, "build_hamiltonian", refuse)
+    spec = expand_graded(GradedProfile(1.0, 0.5), n_sites)
+    with pytest.raises(SpecError, match=message):
+        chain_steady_state(spec, TargetZ(0.5, -0.5), method)
+
+
 def test_solver_thresholds_are_the_fixed_contract():
     assert lindblad.SOLVER == SolverConfig()
     assert dataclasses.asdict(lindblad.SOLVER) == {
         "residual_tol": 1e-9,
         "unique_tol": 1e-10,
         "trace_tol": 1e-10,
+        "trace_floor": 1e-8,
         "hermiticity_tol": 1e-10,
         "positivity_tol": 1e-9,
         "imag_tol": 1e-9,
         "conjugation_tol": 1e-8,
+        "antisymmetry_tol": 1e-12,
         "sign_floor": 1e-9,
         "dense_max_sites": 6,
         "evolve_max_sites": 10,

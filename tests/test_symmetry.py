@@ -13,14 +13,12 @@ from chainflux.lindblad import (
     currents_profile,
     jump_operators,
 )
-from chainflux.pauli import embed, pauli
+from chainflux.pauli import embed, kron_chain, pauli
 from chainflux.symmetry import (
     check_conjugation_identity,
+    conjugation_unitary,
     energy_current_direction_scan,
-    invert_baths,
     parity_report,
-    u_r,
-    u_x,
 )
 
 GRADED3 = expand_graded(GradedProfile(1.0, 0.5), 3)
@@ -28,16 +26,16 @@ GRADED3 = expand_graded(GradedProfile(1.0, 0.5), 3)
 
 def test_x_flip_is_involutive_unitary():
     for n in (1, 2, 3):
-        u = u_x(n)
+        u = kron_chain([pauli("x")] * n)
         assert np.allclose(u @ u, np.eye(2**n))
 
 
 def test_x_flip_explicit_two_sites():
-    assert np.array_equal(u_x(2), np.kron(pauli("x"), pauli("x")))
+    assert np.array_equal(kron_chain([pauli("x")] * 2), np.kron(pauli("x"), pauli("x")))
 
 
 def test_x_flip_exchanges_ladder_operators():
-    u = u_x(3)
+    u = kron_chain([pauli("x")] * 3)
     for site in (1, 2, 3):
         plus = embed(pauli("plus"), site, 3)
         minus = embed(pauli("minus"), site, 3)
@@ -46,38 +44,47 @@ def test_x_flip_exchanges_ladder_operators():
 
 def test_rotation_unitary():
     for n in (1, 2, 3):
-        u = u_r(n)
+        u = kron_chain([pauli("r")] * n)
         assert np.allclose(u.conj().T @ u, np.eye(2**n))
 
 
 def test_rotation_single_site_table():
-    u = u_r(1)
+    u = pauli("r")
     assert np.allclose(u @ pauli("z") @ u.conj().T, -pauli("z"))
     assert np.allclose(u @ pauli("x") @ u.conj().T, pauli("y"))
 
 
+@pytest.mark.parametrize("bath, axis", [(TargetZ(0.5, -0.5), "x"), (TwistedXY(0.5, -0.5), "r")])
+def test_conjugation_unitary_is_the_family_axis_on_every_site(bath, axis):
+    assert bath.conjugation_axis == axis
+    for n in (1, 2, 3):
+        assert np.array_equal(conjugation_unitary(bath, n), kron_chain([pauli(axis)] * n))
+    with pytest.raises(SpecError, match="n_sites must be >= 1"):
+        conjugation_unitary(bath, 0)
+
+
 def test_invert_target_z_swaps_drivings():
-    inv = invert_baths(TargetZ(f_left=0.4, f_right=-0.4, gamma=1.3))
+    inv = TargetZ(f_left=0.4, f_right=-0.4, gamma=1.3).inverted()
     assert inv == TargetZ(f_left=-0.4, f_right=0.4, gamma=1.3)
 
 
 def test_invert_target_z_fixed_point():
     diss = TargetZ(0.0, 0.0)
-    assert invert_baths(diss) == diss
+    assert diss.inverted() == diss
 
 
 def test_invert_twisted_swaps_pair_placement():
     diss = TwistedXY(k=0.3, k_prime=-0.3)
-    inv = invert_baths(diss)
+    inv = diss.inverted()
     assert inv.swapped
     # inverting twice restores the original placement
-    assert invert_baths(inv) == diss
+    assert inv.inverted() == diss
 
 
 def test_target_z_jump_set_covariant_under_x_flip():
     # conjugating each jump with the x flip gives the jump set at -f
     n = 3
-    u = u_x(n)
+    u = kron_chain([pauli("x")] * n)
     jumps = jump_operators(TargetZ(0.6, -0.6, gamma=1.1), n)
     flipped = jump_operators(TargetZ(-0.6, 0.6, gamma=1.1), n)
     conjugated = [u @ jump @ u for jump in jumps]
@@ -91,7 +98,7 @@ def test_target_z_jump_set_covariant_under_x_flip():
 def test_twisted_jump_set_covariant_under_rotation():
     # phases: W1 -> i V1@site1, W2 -> -i V2@site1, V1 -> -i W1@siteN, V2 -> i W2@siteN
     n = 2
-    u = u_r(n)
+    u = kron_chain([pauli("r")] * n)
     k = 0.4
     jumps = jump_operators(TwistedXY(k=k, k_prime=-k), n)
     swapped = jump_operators(TwistedXY(k=k, k_prime=-k, swapped=True), n)
@@ -127,9 +134,9 @@ def test_conjugation_identity_rejects_field():
 
 
 def test_conjugation_identity_rejects_asymmetric_driving():
-    with pytest.raises(SpecError):
+    with pytest.raises(SpecError, match="antisymmetric driving f_left = -f_right is required"):
         check_conjugation_identity(GRADED3, TargetZ(0.5, -0.2))
-    with pytest.raises(SpecError):
+    with pytest.raises(SpecError, match="k_prime = -k is required"):
         check_conjugation_identity(GRADED3, TwistedXY(0.5, 0.5))
 
 
