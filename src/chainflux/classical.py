@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import DomainError, NoConvergenceError, NumericalError, SpecError
 
@@ -90,8 +91,30 @@ def bond_flux(spec: ClassicalChainSpec, bond: int, temps) -> float:
     return -(t_b - t_a) / denominator
 
 
-def _flux_profile(spec: ClassicalChainSpec, temps) -> np.ndarray:
-    return np.array([bond_flux(spec, j, temps) for j in range(1, spec.n_sites)])
+def _fluxes(c: np.ndarray, a: float, temps: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Flux of every bond, with the site weights w_j = c_j T_j^a and the bond
+    denominators D_j = w_j + w_{j+1} it is built from. Off the domain (an
+    overflowing or underflowing weight) the values are non-finite, not a warning."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        weights = c * temps**a
+        denominators = weights[:-1] + weights[1:]
+        return -np.diff(temps) / denominators, weights, denominators
+
+
+def _balance(c: np.ndarray, a: float, temps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flux-balance residuals r_i = F_i - F_{i+1} of a full profile, and their
+    exact tridiagonal Jacobian in the interior temperatures, in the banded
+    layout of ``scipy.linalg.solve_banded((1, 1), ...)``."""
+    fluxes, weights, denominators = _fluxes(c, a, temps)
+    # dF_j/dT_j and dF_j/dT_{j+1} of F_j = -(T_{j+1} - T_j) / D_j
+    growth = a * np.diff(temps) / denominators
+    d_left = (1 + growth * weights[:-1] / temps[:-1]) / denominators
+    d_right = (-1 + growth * weights[1:] / temps[1:]) / denominators
+    banded = np.zeros((3, len(temps) - 2))
+    banded[0, 1:] = -d_right[1:-1]
+    banded[1] = d_right[:-1] - d_left[1:]
+    banded[2, :-1] = d_left[1:-1]
+    return fluxes[:-1] - fluxes[1:], banded
 
 
 def steady_temps(
@@ -102,8 +125,15 @@ def steady_temps(
     For alpha_exp = 0 the bonds are fixed resistances r_j = c_j + c_{j+1} in
     series, so the profile is exact: flux = (T_L - T_R) / sum_j r_j and
     T_{j+1} = T_j - flux * r_j. Otherwise damped Newton iteration on the N-2
-    flux-balance residuals, starting from the linear interpolation between
-    the edge temperatures.
+    flux-balance residuals r_i = F_i - F_{i+1}, starting from the linear
+    interpolation between the edge temperatures. Each r_i depends only on
+    T_i, T_{i+1} and T_{i+2}, so the exact Jacobian is tridiagonal; each step
+    is one banded solve.
+
+    A steady profile carries one flux through every bond, so it is monotone
+    and lies between the edge temperatures. A Newton limit that is not (a
+    spurious zero-flux "solution at infinity", reachable for large alpha_exp
+    and bias) raises NoConvergenceError.
     """
     n = spec.n_sites
     if n < 3:
@@ -116,32 +146,33 @@ def steady_temps(
             temps.append(temps[-1] - flux * r)
         return (*temps, spec.t_right)
 
-    def residuals(interior: np.ndarray) -> np.ndarray:
-        temps = (spec.t_left, *interior, spec.t_right)
-        fluxes = _flux_profile(spec, temps)
-        return fluxes[:-1] - fluxes[1:]
+    c = np.array(spec.c)
+    a = spec.alpha_exp
+
+    def profile(interior: np.ndarray) -> np.ndarray:
+        return np.concatenate(([spec.t_left], interior, [spec.t_right]))
 
     def norm_or_inf(interior: np.ndarray) -> float:
         if np.any(interior <= 0):
             return np.inf
-        return float(np.abs(residuals(interior)).max())
+        fluxes, weights, denominators = _fluxes(c, a, profile(interior))
+        if not (np.all(np.isfinite(weights)) and np.all(denominators > 0)):
+            return np.inf
+        return float(np.abs(fluxes[:-1] - fluxes[1:]).max())
 
     x = np.linspace(spec.t_left, spec.t_right, n)[1:-1]
     r_norm = norm_or_inf(x)
+    if r_norm == np.inf:
+        raise DomainError(
+            f"the flux law leaves the floating-point range at edge temperatures "
+            f"{spec.t_left} and {spec.t_right} with alpha_exp = {a}"
+        )
     for _ in range(max_iter):
         if r_norm <= tol:
-            return (spec.t_left, *(float(v) for v in x), spec.t_right)
-        r = residuals(x)
-        jac = np.empty((n - 2, n - 2))
-        for idx in range(n - 2):
-            step = 1e-7 * max(1.0, abs(x[idx]))
-            bumped_up = x.copy()
-            bumped_up[idx] += step
-            bumped_dn = x.copy()
-            bumped_dn[idx] -= step
-            jac[:, idx] = (residuals(bumped_up) - residuals(bumped_dn)) / (2 * step)
+            break
+        r, banded = _balance(c, a, profile(x))
         try:
-            delta = np.linalg.solve(jac, -r)
+            delta = scipy.linalg.solve_banded((1, 1), banded, -r)
         except np.linalg.LinAlgError as exc:
             raise NoConvergenceError(f"singular Jacobian in Newton iteration: {exc}") from exc
         # damp the step until the residual actually decreases
@@ -158,11 +189,19 @@ def steady_temps(
             )
         x = candidate
         r_norm = candidate_norm
-    if r_norm <= tol:
-        return (spec.t_left, *(float(v) for v in x), spec.t_right)
-    raise NoConvergenceError(
-        f"no steady profile within {max_iter} iterations (residual {r_norm:.3e})"
-    )
+    if r_norm > tol:
+        raise NoConvergenceError(
+            f"no steady profile within {max_iter} iterations (residual {r_norm:.3e})"
+        )
+    temps = profile(x)
+    steps = np.diff(temps)
+    if not (np.all(steps >= 0) or np.all(steps <= 0)):
+        raise NoConvergenceError(
+            "Newton reached a non-monotone profile (interior temperatures "
+            f"{x.min():.3e} to {x.max():.3e}, edges {spec.t_left} and "
+            f"{spec.t_right}); it is not a steady state"
+        )
+    return tuple(temps.tolist())
 
 
 def linearized_middle_amplitude(c, a_left: float, a_right: float) -> float:

@@ -27,6 +27,7 @@ from . import __version__
 from .chain import ChainSpec
 from .classical import LinearizedSetup, conductivity_gap, rectification_experiment
 from .config import (
+    CLASSICAL_SWEEP_PARAMETERS,
     ExperimentConfig,
     apply_sweep_value,
     classical_chain_for,
@@ -38,7 +39,6 @@ from .lindblad import (
     STEADY_METHODS,
     DissipatorSpec,
     SteadyState,
-    TargetZ,
     central,
     chain_steady_state,
     currents_profile,
@@ -109,7 +109,10 @@ def _write_table(output_path: str, fmt: str, columns: tuple[str, ...], rows: lis
             ],
         }
         payload = json.dumps(document, indent=2, sort_keys=False) + "\n"
-    Path(output_path).write_text(payload)
+    try:
+        Path(output_path).write_text(payload)
+    except OSError as exc:
+        raise SpecError(f"cannot write output {output_path}: {exc}") from exc
 
 
 def _require(condition: bool, message: str) -> None:
@@ -180,7 +183,7 @@ def cmd_symmetry(config: ExperimentConfig) -> list[dict]:
                  f"got {config.sweep.parameter!r}")
         grid = config.sweep.grid
     else:
-        grid = (0.2, 0.5, 0.8) if isinstance(diss, TargetZ) else (drive,)
+        grid = diss.scan_grid
 
     rows = []
 
@@ -268,6 +271,11 @@ def cmd_classical(config: ExperimentConfig) -> list[dict]:
     """Both-bias rectification rows for the oscillator chain."""
     _require(config.classical is not None, "the classical command needs a 'classical' section")
     section = config.classical
+    if config.sweep is not None:
+        # a config with a 'model' section parses its sweep as a spin sweep
+        _require(config.sweep.parameter in CLASSICAL_SWEEP_PARAMETERS,
+                 f"the classical command takes only a classical sweep "
+                 f"{CLASSICAL_SWEEP_PARAMETERS}, got {config.sweep.parameter!r}")
 
     def evaluate(parameter: str | None, value: float | None) -> dict:
         chain = classical_chain_for(config, parameter, value)

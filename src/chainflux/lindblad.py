@@ -115,6 +115,11 @@ class TargetZ:
     def drive(self) -> float:
         return self.f_left
 
+    @property
+    def scan_grid(self) -> tuple[float, ...]:
+        """Default drives of the direction scan: three antisymmetric settings."""
+        return (0.2, 0.5, 0.8)
+
     def with_drive(self, drive: float) -> "TargetZ":
         """The antisymmetric setting f_left = drive = -f_right, other fields kept."""
         return dataclasses.replace(self, f_left=drive, f_right=-drive)
@@ -159,6 +164,11 @@ class TwistedXY:
     @property
     def drive(self) -> float:
         return self.k
+
+    @property
+    def scan_grid(self) -> tuple[float, ...]:
+        """Default drives of the direction scan: the bath's own drive."""
+        return (self.k,)
 
     def with_drive(self, drive: float) -> "TwistedXY":
         """The antisymmetric setting k = drive = -k_prime, other fields kept."""

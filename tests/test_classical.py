@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
+from chainflux import classical
 from chainflux.classical import (
     ClassicalChainSpec,
     LinearizedSetup,
@@ -10,7 +12,7 @@ from chainflux.classical import (
     rectification_experiment,
     steady_temps,
 )
-from chainflux.errors import DomainError, SpecError
+from chainflux.errors import DomainError, NoConvergenceError, SpecError
 
 GRADED_C = (2.0, 1.5, 1.0)
 
@@ -204,3 +206,72 @@ def test_symmetric_chain_never_rectifies():
         spec = ClassicalChainSpec((1.0, 1.5, 1.0), alpha_exp, 2.0, 1.0)
         report = rectification_experiment(spec)
         assert abs(report.flux_forward) == pytest.approx(abs(report.flux_reverse), abs=1e-12)
+
+
+def _bond_residuals(spec, interior):
+    # flux-balance residuals F_j - F_{j+1} from per-bond bond_flux calls
+    temps = (spec.t_left, *interior, spec.t_right)
+    fluxes = np.array([bond_flux(spec, j, temps) for j in range(1, spec.n_sites)])
+    return fluxes[:-1] - fluxes[1:]
+
+
+@pytest.mark.parametrize("alpha_exp", [0.3, 1.0, 2.5])
+def test_analytic_jacobian_matches_central_differences(alpha_exp):
+    rng = np.random.default_rng(5)
+    spec = ClassicalChainSpec(tuple(rng.uniform(0.5, 3.0, 8)), alpha_exp, 2.0, 0.7)
+    for _ in range(5):
+        interior = rng.uniform(0.3, 3.0, spec.n_sites - 2)
+        temps = np.array((spec.t_left, *interior, spec.t_right))
+        residuals, banded = classical._balance(np.array(spec.c), alpha_exp, temps)
+        jacobian = (np.diag(banded[1]) + np.diag(banded[0, 1:], 1)
+                    + np.diag(banded[2, :-1], -1))
+        expected = np.empty_like(jacobian)
+        for idx in range(len(interior)):
+            step = 1e-6 * interior[idx]
+            up, down = interior.copy(), interior.copy()
+            up[idx] += step
+            down[idx] -= step
+            expected[:, idx] = (_bond_residuals(spec, up) - _bond_residuals(spec, down)) / (
+                2 * step)
+        assert np.allclose(residuals, _bond_residuals(spec, interior), rtol=1e-12, atol=0)
+        assert np.allclose(jacobian, expected, rtol=1e-6, atol=1e-6 * np.abs(expected).max())
+
+
+@pytest.mark.parametrize("alpha_exp, t_left, t_right", [(0.7, 2.0, 0.5), (2.5, 0.8, 1.6)])
+def test_three_site_profile_matches_an_independent_root(alpha_exp, t_left, t_right):
+    spec = ClassicalChainSpec(GRADED_C, alpha_exp, t_left, t_right)
+
+    def imbalance(t2):
+        temps = (t_left, t2, t_right)
+        return bond_flux(spec, 1, temps) - bond_flux(spec, 2, temps)
+
+    root = brentq(imbalance, *sorted((t_left, t_right)), xtol=1e-15)
+    assert abs(steady_temps(spec)[1] - root) <= 1e-12
+
+
+def test_steady_temps_makes_no_bond_flux_calls(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return bond_flux(*args)
+
+    monkeypatch.setattr(classical, "bond_flux", counting)
+    spec = ClassicalChainSpec(tuple(1.0 + 0.05 * j for j in range(50)), 1.3, 2.0, 0.5)
+    temps = steady_temps(spec)
+    assert calls == []
+    fluxes = [bond_flux(spec, j, temps) for j in range(1, 50)]
+    assert max(fluxes) - min(fluxes) < 1e-12
+
+
+def test_runaway_newton_profile_is_refused():
+    # from the linear start Newton runs off to T_2 ~ 1.5e12, where both bond
+    # fluxes are ~3e-13 and the residual test alone would accept it
+    spec = ClassicalChainSpec((1.0, 2.0, 3.0), 2.0, 8.0, 0.25)
+    with pytest.raises(NoConvergenceError, match="non-monotone profile"):
+        steady_temps(spec)
+
+
+def test_steady_temps_refuses_edges_outside_the_floating_point_range():
+    with pytest.raises(DomainError, match="floating-point range"):
+        steady_temps(ClassicalChainSpec(GRADED_C, 2.0, 1e200, 1.0))

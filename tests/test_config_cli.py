@@ -544,9 +544,51 @@ def test_cmd_classical_symmetric_chain_zero_gap(tmp_path):
     assert abs(float(rows[0]["rectification_gap"])) < 1e-12
 
 
+def test_cmd_classical_refuses_a_spin_sweep(tmp_path, capsys, monkeypatch):
+    # with a 'model' section the sweep parses as a spin sweep; the classical
+    # command has no meaning for it
+    monkeypatch.setattr(cli, "rectification_experiment", lambda chain: pytest.fail("solved"))
+    config = _write_config(tmp_path, "c.json", {
+        "model": GRADED_MODEL,
+        "bath": {"family": "target_z", "f": 0.5},
+        "classical": {"c": [2.0, 1.5, 1.0], "alpha_exp": 1.0, "t_left": 2.0,
+                      "t_right": 1.0},
+        "sweep": {"parameter": "f", "grid": [0.2, 0.4]},
+        "output": {"path": str(tmp_path / "cls.csv")},
+    })
+    assert main(["classical", "--config", str(config)]) == 2
+    assert ("config error: the classical command takes only a classical sweep "
+            "('eps', 't_left', 't_right', 'alpha_exp'), got 'f'") in capsys.readouterr().err
+    assert not (tmp_path / "cls.csv").exists()
+
+
+def test_cli_runaway_classical_profile_is_a_solver_failure(tmp_path, capsys):
+    config = _write_config(tmp_path, "c.json", {
+        "classical": {"c": [1.0, 2.0, 3.0], "alpha_exp": 2.0, "t_left": 8.0,
+                      "t_right": 0.25},
+        "output": {"path": str(tmp_path / "cls.csv")},
+    })
+    assert main(["classical", "--config", str(config)]) == 1
+    assert "solver error: Newton reached a non-monotone profile" in capsys.readouterr().err
+    assert not (tmp_path / "cls.csv").exists()
+
+
+@pytest.mark.parametrize("out", [pytest.param("", id="directory"),
+                                 pytest.param("missing/out.csv", id="missing-directory")])
+def test_cli_unwritable_output_is_a_config_error(tmp_path, capsys, out):
+    config = _write_config(tmp_path, "c.json", {
+        "classical": {"c": [2.0, 1.5, 1.0], "alpha_exp": 1.0, "t_left": 2.0,
+                      "t_right": 1.0},
+    })
+    target = tmp_path / out
+    assert main(["classical", "--config", str(config), "--out", str(target)]) == 2
+    assert f"config error: cannot write output {target}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, name", [("steady", "steady_n3.json"),
                                            ("symmetry", "symmetry_n3.json"),
-                                           ("classical", "classical_n3.json")])
+                                           ("classical", "classical_n3.json"),
+                                           ("classical", "classical_graded_n60.json")])
 def test_ci_smoke_configs_run(tmp_path, command, name):
     # the configs the CI workflow feeds to the installed chainflux script
     config = Path(__file__).parent / "configs" / name

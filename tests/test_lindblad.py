@@ -298,6 +298,9 @@ def test_bath_family_facts():
     assert TwistedXY(0.1, 0.2, rate=0.7, swapped=True).with_drive(0.4) == TwistedXY(
         0.4, -0.4, rate=0.7, swapped=True)
     assert (TargetZ(0.3, -0.1).drive, TwistedXY(0.6, 0.2).drive) == (0.3, 0.6)
+    # the default direction-scan drives: a fixed grid for target_z, the own k for twisted_xy
+    assert TargetZ(0.3, -0.3, gamma=1.3).scan_grid == (0.2, 0.5, 0.8)
+    assert TwistedXY(0.6, -0.6, rate=0.7).scan_grid == (0.6,)
 
 
 def test_three_site_graded_residual_and_validity():
