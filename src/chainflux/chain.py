@@ -9,6 +9,7 @@ site N.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -93,9 +94,15 @@ def expand_graded(
     )
 
 
+@lru_cache(maxsize=None)
 def _string(axes: str) -> np.ndarray:
-    """Local Pauli string on consecutive sites, e.g. ``_string("xzy")`` is 8x8."""
-    return kron_chain([pauli(axis) for axis in axes])
+    """Local Pauli string on consecutive sites, e.g. ``_string("xzy")`` is 8x8.
+
+    Built once per process and shared, so the returned array is read-only.
+    """
+    string = kron_chain([pauli(axis) for axis in axes])
+    string.flags.writeable = False
+    return string
 
 
 def build_hamiltonian(spec: ChainSpec) -> np.ndarray:

@@ -19,6 +19,7 @@ import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -328,7 +329,9 @@ _COMMANDS = {
 }
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and reused by ``main``."""
     parser = argparse.ArgumentParser(
         prog="chainflux",
         description="Steady states, currents, and rectification diagnostics "

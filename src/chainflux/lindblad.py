@@ -52,6 +52,13 @@ _CERTIFICATE_SHIFT = 1e-6
 # ARPACK start vector seed: a fixed random start keeps the certificate
 # reproducible and, unlike vec(I), has a component along every zero mode.
 _CERTIFICATE_SEED = 20170315
+# SuperLU options for the one factor of A - shift*I that ARPACK inverts: a
+# minimum-degree ordering of A^T + A with preference for diagonal pivots. On
+# the N=6 generators it cuts the fill of SuperLU's default (COLAMD ordering,
+# full partial pivoting) from 5.3M to 3.3M nonzeros in L + U for twisted_xy
+# and from 0.74M to 0.36M for target_z.
+_FACTOR_OPTIONS = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.1,
+                   "options": {"SymmetricMode": True}}
 
 
 @dataclass(frozen=True)
@@ -253,17 +260,39 @@ class Liouvillian:
 
     @cached_property
     def matrix(self) -> scipy.sparse.csc_matrix:
-        """Sparse column-stacked superoperator of shape (dim^2, dim^2)."""
-        ident = scipy.sparse.identity(self.dim, dtype=complex, format="csr")
+        """Sparse column-stacked superoperator of shape (dim^2, dim^2).
+
+        One COO assembly of I (x) K + conj(K) (x) I + sum_s conj(L_s) (x) L_s
+        from the nonzeros of the dense factors. Entries at one position are
+        summed in that term order, and entries that cancel to exact zero are
+        dropped, as a chain of sparse ``kron`` sums would.
+        """
+        d, size = self.dim, self.dim**2
         k_eff = -1j * self.hamiltonian
         for _, ldl in self._pairs:
             k_eff = k_eff - 0.5 * ldl
-        k_sp = scipy.sparse.csr_matrix(k_eff)
-        sup = scipy.sparse.kron(ident, k_sp) + scipy.sparse.kron(k_sp.conj(), ident)
+        k_row, k_col = np.nonzero(k_eff)
+        k_val = k_eff[k_row, k_col]
+        ident = np.arange(d)  # the identity's nonzeros sit at (i, i)
+
+        def kron_key(row_a, col_a, row_b, col_b):
+            # position of (A (x) B)[(a b), (a' b')] as column-major key col * size + row
+            return ((d * col_a[:, None] + col_b) * size + d * row_a[:, None] + row_b).ravel()
+
+        keys = [kron_key(ident, ident, k_row, k_col), kron_key(k_row, k_col, ident, ident)]
+        values = [np.tile(k_val, d), np.repeat(k_val.conj(), d)]
         for L, _ in self._pairs:
-            l_sp = scipy.sparse.csr_matrix(L)
-            sup = sup + scipy.sparse.kron(l_sp.conj(), l_sp)
-        return scipy.sparse.csc_matrix(sup)
+            row, col = np.nonzero(L)
+            val = L[row, col]
+            keys.append(kron_key(row, col, row, col))
+            values.append(np.multiply.outer(val.conj(), val).ravel())
+        key, position = np.unique(np.concatenate(keys), return_inverse=True)
+        total = np.zeros(key.size, dtype=complex)
+        np.add.at(total, position, np.concatenate(values))  # in term order, one by one
+        keep = total != 0
+        key, total = key[keep], total[keep]
+        indptr = np.searchsorted(key // size, np.arange(size + 1))
+        return scipy.sparse.csc_matrix((total, key % size, indptr), shape=(size, size))
 
 
 def build_liouvillian(hamiltonian: np.ndarray, jumps: Sequence[np.ndarray]) -> Liouvillian:
@@ -356,7 +385,8 @@ def steady_state(liouv: Liouvillian, method: str = "auto") -> SteadyState:
     """Solve for the unique trace-one fixed point of the generator.
 
     dense_null (a historical name) is a sparse shift-invert zero mode: one
-    shift-invert eigensolve of the sparse superoperator certifies that the
+    shift-invert eigensolve of the sparse superoperator, on one
+    minimum-degree-ordered LU factor of A - shift*I, certifies that the
     kernel is one-dimensional and returns its zero mode; evolve integrates
     from the maximally mixed state until the per-step change stalls. Both
     paths end with trace normalization, Hermitization, and a residual check.
@@ -401,7 +431,11 @@ def _zero_mode(matrix: scipy.sparse.csc_matrix) -> tuple[np.ndarray, np.ndarray]
     else:
         rng = np.random.default_rng(_CERTIFICATE_SEED)
         v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        values, vectors = scipy.sparse.linalg.eigs(matrix, k=k, sigma=_CERTIFICATE_SHIFT, v0=v0)
+        shifted = matrix - _CERTIFICATE_SHIFT * scipy.sparse.identity(n, format="csc")
+        factor = scipy.sparse.linalg.splu(shifted, **_FACTOR_OPTIONS)
+        op_inv = scipy.sparse.linalg.LinearOperator(matrix.shape, factor.solve, dtype=complex)
+        values, vectors = scipy.sparse.linalg.eigs(matrix, k=k, sigma=_CERTIFICATE_SHIFT, v0=v0,
+                                                   OPinv=op_inv)
     order = np.argsort(np.abs(values))[:k]
     return np.abs(values[order]), vectors[:, order[0]]
 

@@ -3,12 +3,13 @@
 Operators are plain complex numpy arrays. Site 1 is the leftmost tensor
 factor, i.e. the most significant bit of the computational-basis index.
 A k-site operator is a 2^k x 2^k matrix (built with ``kron_chain``) that
-``embed`` places on k consecutive sites of the chain.
+``embed`` places on k consecutive sites of the chain. Both fill their output
+by index arithmetic and broadcasting instead of generic ``np.kron`` calls; the
+entries equal those of the nested ``np.kron`` products.
 """
 
 from __future__ import annotations
 
-from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -57,9 +58,13 @@ def embed(op, site: int, n_sites: int) -> np.ndarray:
         raise ShapeError(f"embed expects a 2^k x 2^k operator (k >= 1), got shape {op.shape}")
     if not 1 <= site <= n_sites - k + 1:
         raise IndexError(f"a {k}-site operator at site {site} does not fit sites 1..{n_sites}")
-    left = np.eye(2 ** (site - 1), dtype=complex)
-    right = np.eye(2 ** (n_sites - site - k + 1), dtype=complex)
-    return np.kron(np.kron(left, op), right)
+    left, right, d = 2 ** (site - 1), 2 ** (n_sites - site - k + 1), op.shape[0]
+    # out[(a i r), (b j s)] = delta_ab op[i, j] delta_rs: write op into the
+    # (a, r) == (b, s) blocks of the zero tensor
+    out = np.zeros((left, d, right, left, d, right), dtype=complex)
+    a, r = np.arange(left)[:, None], np.arange(right)[None, :]
+    out[a, :, r, a, :, r] = op
+    return out.reshape(2**n_sites, 2**n_sites)
 
 
 def kron_chain(ops: Sequence[np.ndarray]) -> np.ndarray:
@@ -72,5 +77,10 @@ def kron_chain(ops: Sequence[np.ndarray]) -> np.ndarray:
         if op.shape != (2, 2):
             raise ShapeError(f"kron_chain expects 2x2 factors, got shape {op.shape}")
         factors.append(op)
-    return reduce(np.kron, factors)
+    out = factors[0]
+    for op in factors[1:]:
+        # out[(I i), (J j)] = out[I, J] * op[i, j], multiplied in np.kron's order
+        d = 2 * out.shape[0]
+        out = (out[:, None, :, None] * op[None, :, None, :]).reshape(d, d)
+    return out
 

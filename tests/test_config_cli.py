@@ -587,12 +587,28 @@ def test_cli_unwritable_output_is_a_config_error(tmp_path, capsys, out):
 
 @pytest.mark.parametrize("command, name", [("steady", "steady_n3.json"),
                                            ("symmetry", "symmetry_n3.json"),
+                                           ("symmetry", "symmetry_n4_twisted.json"),
                                            ("classical", "classical_n3.json"),
                                            ("classical", "classical_graded_n60.json")])
 def test_ci_smoke_configs_run(tmp_path, command, name):
     # the configs the CI workflow feeds to the installed chainflux script
     config = Path(__file__).parent / "configs" / name
     assert main([command, "--config", str(config), "--out", str(tmp_path / "out.csv")]) == 0
+
+
+def test_cli_builds_its_parser_once(tmp_path, capsys):
+    config = Path(__file__).parent / "configs" / "steady_n3.json"
+    parser = cli._build_parser()
+    assert main(["steady", "--config", str(config), "--out", str(tmp_path / "a.csv")]) == 0
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--version"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("chainflux ")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["steady"])  # --config missing: argparse usage error
+    assert exit_info.value.code == 2
+    assert main(["steady", "--config", str(config), "--out", str(tmp_path / "b.csv")]) == 0
+    assert cli._build_parser() is parser
 
 
 def test_cli_requires_output_path(tmp_path):

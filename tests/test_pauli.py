@@ -1,6 +1,9 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
+from chainflux.chain import _string
 from chainflux.errors import EmptyChainError, ShapeError
 from chainflux.pauli import embed, kron_chain, pauli
 
@@ -93,6 +96,39 @@ def test_embed_local_string_equals_single_site_products():
     for site in (1, 2, 3):
         products = embed(a, site, n) @ embed(b, site + 1, n) @ embed(c, site + 2, n)
         assert np.allclose(embed(kron_chain([a, b, c]), site, n), products, atol=1e-13)
+
+
+@pytest.mark.parametrize("n_sites", range(1, 7))
+def test_embed_equals_nested_kron_at_every_position(n_sites):
+    rng = np.random.default_rng(100 + n_sites)
+    for k in range(1, min(3, n_sites) + 1):
+        for site in range(1, n_sites - k + 2):
+            op = rng.standard_normal((2**k, 2**k)) + 1j * rng.standard_normal((2**k, 2**k))
+            left = np.eye(2 ** (site - 1), dtype=complex)
+            right = np.eye(2 ** (n_sites - site - k + 1), dtype=complex)
+            assert np.array_equal(embed(op, site, n_sites), np.kron(np.kron(left, op), right))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_kron_chain_equals_nested_kron(k):
+    rng = np.random.default_rng(200 + k)
+    for _ in range(5):
+        factors = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+                   for _ in range(k)]
+        assert np.array_equal(kron_chain(factors), reduce(np.kron, factors))
+    for axes in ("x", "yz", "xzy", "rpm"):
+        factors = [pauli({"p": "plus", "m": "minus"}.get(a, a)) for a in axes]
+        assert np.array_equal(kron_chain(factors), reduce(np.kron, factors))
+
+
+def test_cached_pauli_string_is_shared_and_read_only():
+    string = _string("xzy")
+    assert _string("xzy") is string
+    assert np.array_equal(string, kron_chain([SX, SZ, SY]))
+    with pytest.raises(ValueError):
+        string[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        string += 1.0
 
 
 def test_kron_chain_x_involution():
