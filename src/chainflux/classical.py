@@ -18,6 +18,7 @@ import scipy.linalg
 
 from .errors import DomainError, NoConvergenceError, NumericalError, SpecError
 
+_NEWTON_TOL = 1e-12  # sup-norm of the flux-balance residuals accepted as steady
 _NEWTON_MAX_ITER = 200
 _NEWTON_DAMPING = 0.5
 _NEWTON_MAX_DAMPINGS = 40
@@ -117,9 +118,7 @@ def _balance(c: np.ndarray, a: float, temps: np.ndarray) -> tuple[np.ndarray, np
     return fluxes[:-1] - fluxes[1:], banded
 
 
-def steady_temps(
-    spec: ClassicalChainSpec, *, tol: float = 1e-12, max_iter: int = _NEWTON_MAX_ITER
-) -> tuple[float, ...]:
+def steady_temps(spec: ClassicalChainSpec) -> tuple[float, ...]:
     """Interior temperatures making every bond carry the same flux.
 
     For alpha_exp = 0 the bonds are fixed resistances r_j = c_j + c_{j+1} in
@@ -167,8 +166,8 @@ def steady_temps(
             f"the flux law leaves the floating-point range at edge temperatures "
             f"{spec.t_left} and {spec.t_right} with alpha_exp = {a}"
         )
-    for _ in range(max_iter):
-        if r_norm <= tol:
+    for _ in range(_NEWTON_MAX_ITER):
+        if r_norm <= _NEWTON_TOL:
             break
         r, banded = _balance(c, a, profile(x))
         try:
@@ -189,9 +188,9 @@ def steady_temps(
             )
         x = candidate
         r_norm = candidate_norm
-    if r_norm > tol:
+    if r_norm > _NEWTON_TOL:
         raise NoConvergenceError(
-            f"no steady profile within {max_iter} iterations (residual {r_norm:.3e})"
+            f"no steady profile within {_NEWTON_MAX_ITER} iterations (residual {r_norm:.3e})"
         )
     temps = profile(x)
     steps = np.diff(temps)

@@ -22,8 +22,6 @@ from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .chain import ChainSpec
 from .classical import LinearizedSetup, conductivity_gap, rectification_experiment
@@ -44,6 +42,7 @@ from .lindblad import (
     chain_steady_state,
     currents_profile,
     expectation,
+    resolve_method,
 )
 from .pauli import embed, pauli
 from .symmetry import (
@@ -63,8 +62,6 @@ def _fmt(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return "nan" if math.isnan(value) else repr(value)
-    if isinstance(value, (int, np.integer)):
-        return str(value)
     return str(value)
 
 
@@ -138,7 +135,7 @@ def _map_grid(evaluate, points, workers: int) -> list:
     return [results[repr(point)] for point in points]
 
 
-def cmd_steady(config: ExperimentConfig) -> list[dict] | None:
+def cmd_steady(config: ExperimentConfig) -> list[dict]:
     """One row per observable entry: z-magnetizations, then all currents."""
     _require(config.model is not None, "the steady command needs a 'model' section")
     _require(config.bath is not None, "the steady command needs a 'bath' section")
@@ -190,8 +187,7 @@ def cmd_symmetry(config: ExperimentConfig) -> list[dict]:
 
     start = time.perf_counter()
     conj = check_conjugation_identity(chain, diss, method=config.method)
-    # the resolved solver, from the record the check cached (same for every solve here)
-    method = chain_steady_state(chain, diss, config.method).method
+    method = resolve_method(chain.dim, config.method)  # the same for every solve here
     rows.append({**inputs, "check": "conjugation", "drive": drive,
                  "forward": None, "inverted": None, "error": conj.max_error,
                  "threshold": SOLVER.conjugation_tol, "passed": conj.passed,

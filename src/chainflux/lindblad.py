@@ -80,8 +80,7 @@ class SolverConfig:
     conjugation_tol: float = 1e-8     # entrywise tolerance for transported steady states
     antisymmetry_tol: float = 1e-12   # |f_left + f_right| or |k + k_prime| counted as antisymmetric
     sign_floor: float = 1e-9          # current magnitudes below this count as zero
-    dense_max_sites: int = 6
-    evolve_max_sites: int = 10
+    max_sites: int = 7                # every method refuses a longer chain
     evolve_max_steps: int = 1_000_000
     evolve_conv_tol: float = 1e-12    # per-step sup-norm change declaring a fixed point
     evolve_min_steps: int = 10
@@ -342,28 +341,15 @@ def validate_state(rho: np.ndarray) -> StateDiagnostics:
 
 
 def resolve_method(dim: int, method: str) -> str:
-    """Map 'auto' to a concrete solver and enforce size limits."""
+    """Map 'auto' to dense_null, the one certified solver, and refuse any
+    method on a chain longer than ``SOLVER.max_sites`` sites."""
     if method not in STEADY_METHODS:
         raise SpecError(f"unknown method {method!r}; expected one of {STEADY_METHODS}")
-    dense_cap = 2**SOLVER.dense_max_sites
-    evolve_cap = 2**SOLVER.evolve_max_sites
-    if method == "auto":
-        if dim <= dense_cap:
-            return "dense_null"
-        if dim <= evolve_cap:
-            return "evolve"
+    if dim > 2**SOLVER.max_sites:
         raise SpecError(
-            f"Hilbert dimension {dim} exceeds the evolve limit 2^{SOLVER.evolve_max_sites}"
+            f"Hilbert dimension {dim} exceeds the solver limit 2^{SOLVER.max_sites}"
         )
-    if method == "dense_null" and dim > dense_cap:
-        raise SpecError(
-            f"dense_null is limited to Hilbert dimension 2^{SOLVER.dense_max_sites}, got {dim}"
-        )
-    if method == "evolve" and dim > evolve_cap:
-        raise SpecError(
-            f"evolve is limited to Hilbert dimension 2^{SOLVER.evolve_max_sites}, got {dim}"
-        )
-    return method
+    return "dense_null" if method == "auto" else method
 
 
 @dataclass(frozen=True)
@@ -384,12 +370,15 @@ class SteadyState:
 def steady_state(liouv: Liouvillian, method: str = "auto") -> SteadyState:
     """Solve for the unique trace-one fixed point of the generator.
 
-    dense_null (a historical name) is a sparse shift-invert zero mode: one
-    shift-invert eigensolve of the sparse superoperator, on one
-    minimum-degree-ordered LU factor of A - shift*I, certifies that the
-    kernel is one-dimensional and returns its zero mode; evolve integrates
-    from the maximally mixed state until the per-step change stalls. Both
-    paths end with trace normalization, Hermitization, and a residual check.
+    dense_null (a historical name), which 'auto' always means, is a sparse
+    shift-invert zero mode: one shift-invert eigensolve of the sparse
+    superoperator, on one minimum-degree-ordered LU factor of A - shift*I,
+    certifies that the kernel is one-dimensional and returns its zero mode.
+    evolve, chosen only by name, integrates from the maximally mixed state
+    until the per-step change stalls and certifies no uniqueness; it is the
+    independent cross-check of dense_null. Both paths end with trace
+    normalization, Hermitization, and a residual check, and both refuse a
+    chain over ``SOLVER.max_sites`` sites before any work.
     """
     if not liouv.jumps:
         raise SpecError(

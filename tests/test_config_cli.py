@@ -588,12 +588,24 @@ def test_cli_unwritable_output_is_a_config_error(tmp_path, capsys, out):
 @pytest.mark.parametrize("command, name", [("steady", "steady_n3.json"),
                                            ("symmetry", "symmetry_n3.json"),
                                            ("symmetry", "symmetry_n4_twisted.json"),
+                                           ("symmetry", "symmetry_n7.json"),
                                            ("classical", "classical_n3.json"),
                                            ("classical", "classical_graded_n60.json")])
 def test_ci_smoke_configs_run(tmp_path, command, name):
     # the configs the CI workflow feeds to the installed chainflux script
     config = Path(__file__).parent / "configs" / name
     assert main([command, "--config", str(config), "--out", str(tmp_path / "out.csv")]) == 0
+
+
+def test_one_way_street_is_certified_at_seven_sites(tmp_path):
+    # the paper's size-independent claims at the solver cap, by the certified solver
+    config = Path(__file__).parent / "configs" / "symmetry_n7.json"
+    assert main(["symmetry", "--config", str(config), "--out", str(tmp_path / "out.csv")]) == 0
+    _, _, rows = _read_csv(tmp_path / "out.csv")
+    assert [r["check"] for r in rows] == ["conjugation", "energy_current_even",
+                                          "spin_current_odd", "direction",
+                                          "direction_overall"]
+    assert all(r["passed"] == "true" and r["method"] == "dense_null" for r in rows)
 
 
 def test_cli_builds_its_parser_once(tmp_path, capsys):

@@ -17,6 +17,7 @@ from chainflux.errors import (
     SpecError,
 )
 from chainflux.lindblad import (
+    STEADY_METHODS,
     SolverConfig,
     TargetZ,
     TwistedXY,
@@ -276,18 +277,15 @@ def test_chain_steady_state_is_memoised_and_read_only(monkeypatch):
     assert methods == ["auto", "dense_null"]
 
 
-@pytest.mark.parametrize("n_sites, method, message", [
-    (11, "auto", "exceeds the evolve limit 2\\^10"),
-    (7, "dense_null", "dense_null is limited to Hilbert dimension 2\\^6"),
-], ids=["n11_auto", "n7_dense_null"])
-def test_chain_steady_state_refuses_an_oversize_run_before_building(monkeypatch, n_sites,
-                                                                    method, message):
+@pytest.mark.parametrize("method", ["auto", "dense_null", "evolve"],
+                         ids=["n8_auto", "n8_dense_null", "n8_evolve"])
+def test_chain_steady_state_refuses_an_oversize_run_before_building(monkeypatch, method):
     def refuse(spec):
         raise AssertionError("the Hamiltonian of a refused run was built")
 
     monkeypatch.setattr(lindblad, "build_hamiltonian", refuse)
-    spec = expand_graded(GradedProfile(1.0, 0.5), n_sites)
-    with pytest.raises(SpecError, match=message):
+    spec = expand_graded(GradedProfile(1.0, 0.5), 8)
+    with pytest.raises(SpecError, match="Hilbert dimension 256 exceeds the solver limit 2\\^7"):
         chain_steady_state(spec, TargetZ(0.5, -0.5), method)
 
 
@@ -304,8 +302,7 @@ def test_solver_thresholds_are_the_fixed_contract():
         "conjugation_tol": 1e-8,
         "antisymmetry_tol": 1e-12,
         "sign_floor": 1e-9,
-        "dense_max_sites": 6,
-        "evolve_max_sites": 10,
+        "max_sites": 7,
         "evolve_max_steps": 1_000_000,
         "evolve_conv_tol": 1e-12,
         "evolve_min_steps": 10,
@@ -435,13 +432,12 @@ def test_decoupled_chain_detected_as_non_unique(n_sites, diss, method):
 
 def test_method_resolution_and_size_guards():
     assert resolve_method(2**6, "auto") == "dense_null"
-    assert resolve_method(2**7, "auto") == "evolve"
-    with pytest.raises(SpecError):
-        resolve_method(2**11, "auto")
-    with pytest.raises(SpecError):
-        resolve_method(2**7, "dense_null")
-    with pytest.raises(SpecError):
-        resolve_method(2**11, "evolve")
+    assert resolve_method(2**7, "auto") == "dense_null"
+    assert resolve_method(2**7, "dense_null") == "dense_null"
+    assert resolve_method(2**7, "evolve") == "evolve"
+    for method in STEADY_METHODS:
+        with pytest.raises(SpecError, match="exceeds the solver limit 2\\^7"):
+            resolve_method(2**8, method)
     with pytest.raises(SpecError):
         resolve_method(4, "something_else")
 
