@@ -56,7 +56,8 @@ _CERTIFICATE_SEED = 20170315
 # minimum-degree ordering of A^T + A with preference for diagonal pivots. On
 # the N=6 generators it cuts the fill of SuperLU's default (COLAMD ordering,
 # full partial pivoting) from 5.3M to 3.3M nonzeros in L + U for twisted_xy
-# and from 0.74M to 0.36M for target_z.
+# and from 0.74M to 0.36M for the full target_z matrix. target_z factorises
+# only its q=0 block (dimension 924 of 4096), which fills 0.09M.
 _FACTOR_OPTIONS = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.1,
                    "options": {"SymmetricMode": True}}
 
@@ -374,6 +375,9 @@ def steady_state(liouv: Liouvillian, method: str = "auto") -> SteadyState:
     shift-invert zero mode: one shift-invert eigensolve of the sparse
     superoperator, on one minimum-degree-ordered LU factor of A - shift*I,
     certifies that the kernel is one-dimensional and returns its zero mode.
+    A generator that conserves magnetization weakly (target_z) is solved
+    inside its q = S^z(ket) - S^z(bra) = 0 block, which holds the steady
+    state; the second magnitude a refusal reports is then that sector's gap.
     evolve, chosen only by name, integrates from the maximally mixed state
     until the per-step change stalls and certifies no uniqueness; it is the
     independent cross-check of dense_null. Both paths end with trace
@@ -409,24 +413,62 @@ def _finalize_steady(liouv: Liouvillian, rho: np.ndarray, method: str, start: fl
     return SteadyState(rho, method, residual, wall_ms)
 
 
+@lru_cache(maxsize=SOLVER.max_sites + 1)  # one entry per chain length
+def _charge(dim: int) -> np.ndarray:
+    """q = S^z(ket) - S^z(bra), in flipped spins, of each column-stacked index
+    of a dim x dim matrix: the set bits of the row index minus those of the
+    column index. Shared and read-only."""
+    basis = np.arange(dim)
+    ones = sum((basis >> bit) & 1 for bit in range(dim.bit_length()))
+    charge = np.tile(ones, dim) - np.repeat(ones, dim)
+    charge.flags.writeable = False
+    return charge
+
+
+def _solve_indices(matrix: scipy.sparse.csc_matrix) -> np.ndarray:
+    """The q=0 indices if no stored entry couples two q-sectors, else every index.
+
+    A generator that conserves magnetization weakly (target_z, with or without
+    a field) never couples sectors, and its steady state lies in q=0. Its
+    kernel is one-dimensional exactly when its q=0 block's kernel is: the
+    U(1) action maps the stationary states onto themselves, so a kernel of
+    dimension >= 2 holds two independent q=0 states (Albert & Jiang,
+    PRA 89, 022118 (2014)).
+    """
+    charge = _charge(math.isqrt(matrix.shape[0]))
+    if np.array_equal(charge[matrix.indices], np.repeat(charge, np.diff(matrix.indptr))):
+        return np.flatnonzero(charge == 0)
+    return np.arange(matrix.shape[0])
+
+
 def _zero_mode(matrix: scipy.sparse.csc_matrix) -> tuple[np.ndarray, np.ndarray]:
     """Magnitudes of the two eigenvalues nearest the shift, smallest first,
-    and the eigenvector of the smallest one."""
+    and the eigenvector of the smallest one, as a full-length vector.
+
+    The eigensolve runs on the rows and columns of ``_solve_indices``: the
+    q=0 block of a magnetization-conserving generator, whose second
+    magnitude is then the q=0 sector's gap, or else the whole matrix.
+    """
     n = matrix.shape[0]
+    index = _solve_indices(matrix)
+    block = matrix if index.size == n else matrix[index[:, None], index]
+    m = block.shape[0]
     k = 2
-    if n <= k + 1:
-        # ARPACK needs k < n - 1
-        values, vectors = np.linalg.eig(matrix.toarray())
+    if m <= k + 1:
+        # ARPACK needs k < m - 1
+        values, vectors = np.linalg.eig(block.toarray())
     else:
         rng = np.random.default_rng(_CERTIFICATE_SEED)
-        v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        shifted = matrix - _CERTIFICATE_SHIFT * scipy.sparse.identity(n, format="csc")
+        v0 = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        shifted = block - _CERTIFICATE_SHIFT * scipy.sparse.identity(m, format="csc")
         factor = scipy.sparse.linalg.splu(shifted, **_FACTOR_OPTIONS)
-        op_inv = scipy.sparse.linalg.LinearOperator(matrix.shape, factor.solve, dtype=complex)
-        values, vectors = scipy.sparse.linalg.eigs(matrix, k=k, sigma=_CERTIFICATE_SHIFT, v0=v0,
+        op_inv = scipy.sparse.linalg.LinearOperator(block.shape, factor.solve, dtype=complex)
+        values, vectors = scipy.sparse.linalg.eigs(block, k=k, sigma=_CERTIFICATE_SHIFT, v0=v0,
                                                    OPinv=op_inv)
     order = np.argsort(np.abs(values))[:k]
-    return np.abs(values[order]), vectors[:, order[0]]
+    vector = np.zeros(n, dtype=complex)
+    vector[index] = vectors[:, order[0]]
+    return np.abs(values[order]), vector
 
 
 def _dense_null_candidate(liouv: Liouvillian) -> np.ndarray:
@@ -575,14 +617,16 @@ _STEADY_CACHE_SIZE = 8
 def chain_steady_state(spec: ChainSpec, diss: DissipatorSpec, method: str = "auto") -> SteadyState:
     """Hamiltonian + jumps + steady-state solve, memoised per argument set.
 
-    The returned record is shared between calls, so its ``rho`` is read-only.
+    The cache keys on the resolved method, so 'auto' and the solver it means
+    share one entry. The returned record is shared between calls, so its
+    ``rho`` is read-only.
     """
-    return _cached_chain_steady_state(spec, diss, method)
+    # resolving refuses an oversize run before any operator is built
+    return _cached_chain_steady_state(spec, diss, resolve_method(spec.dim, method))
 
 
 @lru_cache(maxsize=_STEADY_CACHE_SIZE)
 def _cached_chain_steady_state(spec: ChainSpec, diss: DissipatorSpec, method: str) -> SteadyState:
-    resolve_method(spec.dim, method)  # refuse an oversize run before building any operator
     liouv = build_liouvillian(build_hamiltonian(spec), jump_operators(diss, spec.n_sites))
     solved = steady_state(liouv, method=method)
     solved.rho.flags.writeable = False

@@ -2,7 +2,7 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to get one pass/fail line
 per criterion. Steady states are cached module-wide, so each N=6 solve runs
-exactly once; expect a total runtime of about 7 seconds on a 2-core machine.
+exactly once; expect a total runtime of about 6 seconds on a 2-core machine.
 """
 
 import functools

@@ -586,6 +586,7 @@ def test_cli_unwritable_output_is_a_config_error(tmp_path, capsys, out):
 
 
 @pytest.mark.parametrize("command, name", [("steady", "steady_n3.json"),
+                                           ("steady", "steady_n6_field.json"),
                                            ("symmetry", "symmetry_n3.json"),
                                            ("symmetry", "symmetry_n4_twisted.json"),
                                            ("symmetry", "symmetry_n7.json"),
