@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.optimize import brentq
 
 from chainflux import classical
@@ -222,9 +223,10 @@ def test_analytic_jacobian_matches_central_differences(alpha_exp):
     for _ in range(5):
         interior = rng.uniform(0.3, 3.0, spec.n_sites - 2)
         temps = np.array((spec.t_left, *interior, spec.t_right))
-        residuals, banded = classical._balance(np.array(spec.c), alpha_exp, temps)
-        jacobian = (np.diag(banded[1]) + np.diag(banded[0, 1:], 1)
-                    + np.diag(banded[2, :-1], -1))
+        trial = classical._evaluate(np.array(spec.c), alpha_exp, temps)
+        residuals = trial.residuals
+        sub, main, sup = classical._tridiagonal(alpha_exp, trial)
+        jacobian = np.diag(main) + np.diag(sup, 1) + np.diag(sub, -1)
         expected = np.empty_like(jacobian)
         for idx in range(len(interior)):
             step = 1e-6 * interior[idx]
@@ -262,6 +264,30 @@ def test_steady_temps_makes_no_bond_flux_calls(monkeypatch):
     assert calls == []
     fluxes = [bond_flux(spec, j, temps) for j in range(1, 50)]
     assert max(fluxes) - min(fluxes) < 1e-12
+
+
+def test_steady_temps_evaluates_each_trial_profile_once(monkeypatch):
+    # one dgtsv solve per Newton step; each trial profile, accepted or damped
+    # away, is evaluated once, and the next Jacobian reuses that evaluation
+    evaluated, solves = [], []
+    evaluate, dgtsv = classical._evaluate, scipy.linalg.lapack.dgtsv
+
+    def counting_evaluate(c, a, temps):
+        evaluated.append(temps.copy())
+        return evaluate(c, a, temps)
+
+    def counting_dgtsv(*args):
+        solves.append(args)
+        return dgtsv(*args)
+
+    monkeypatch.setattr(classical, "_evaluate", counting_evaluate)
+    monkeypatch.setattr(scipy.linalg.lapack, "dgtsv", counting_dgtsv)
+    spec = ClassicalChainSpec(tuple(1.0 + 0.05 * j for j in range(50)), 1.3, 2.0, 0.5)
+    temps = steady_temps(spec)
+    assert len(solves) == 4
+    assert len(evaluated) == len(solves) + 1
+    assert len({profile.tobytes() for profile in evaluated}) == len(evaluated)
+    assert tuple(evaluated[-1]) == temps
 
 
 def test_runaway_newton_profile_is_refused():

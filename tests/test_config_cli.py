@@ -442,6 +442,22 @@ def test_cmd_classical_evaluates_a_repeated_grid_value_once(tmp_path, monkeypatc
     assert rows[0] == rows[2]
 
 
+def _table_modulo_timing(command, config, out, workers):
+    assert main([command, "--config", str(config), "--out", str(out),
+                 "--workers", str(workers)]) == 0
+    lines = out.read_text().splitlines()
+    # blank the volatile wall-time column and the output path echo
+    stripped = []
+    for line in lines:
+        if line.startswith("# config:"):
+            continue
+        cells = line.split(",")
+        if not line.startswith("#") and cells[-1] != "wall_ms":
+            cells[-1] = ""
+        stripped.append(",".join(cells))
+    return stripped
+
+
 def test_cmd_sweep_deterministic_output_modulo_timing(tmp_path):
     payload = {
         "model": GRADED_MODEL,
@@ -450,27 +466,26 @@ def test_cmd_sweep_deterministic_output_modulo_timing(tmp_path):
         "output": {"format": "csv"},
     }
     config = _write_config(tmp_path, "c.json", payload)
+    first = _table_modulo_timing("sweep", config, tmp_path / "a.csv", 1)
+    second = _table_modulo_timing("sweep", config, tmp_path / "b.csv", 1)
+    parallel = _table_modulo_timing("sweep", config, tmp_path / "p.csv", 2)
+    assert first == second
+    assert first == parallel
 
-    def run(out_name, workers):
-        out = tmp_path / out_name
-        args = ["sweep", "--config", str(config), "--out", str(out),
-                "--workers", str(workers)]
-        assert main(args) == 0
-        lines = out.read_text().splitlines()
-        # blank the volatile wall-time column and the output path echo
-        stripped = []
-        for line in lines:
-            if line.startswith("# config:"):
-                continue
-            cells = line.split(",")
-            if not line.startswith("#") and cells[-1] != "wall_ms":
-                cells[-1] = ""
-            stripped.append(",".join(cells))
-        return stripped
 
-    first = run("a.csv", 1)
-    second = run("b.csv", 1)
-    parallel = run("p.csv", 2)
+def test_cmd_classical_deterministic_output_modulo_timing(tmp_path):
+    # the Newton solves of different grid points run in threads under --workers 2
+    payload = {
+        "classical": {"c": [0.6 + 0.1 * j for j in range(30)], "t_left": 1.8,
+                      "t_right": 0.6},
+        "sweep": {"parameter": "alpha_exp", "grid": [0.3, 0.7, 1.2, 2.0, 0.0]},
+        "output": {"format": "csv"},
+    }
+    config = _write_config(tmp_path, "c.json", payload)
+    first = _table_modulo_timing("classical", config, tmp_path / "a.csv", 1)
+    second = _table_modulo_timing("classical", config, tmp_path / "b.csv", 1)
+    parallel = _table_modulo_timing("classical", config, tmp_path / "p.csv", 2)
+    assert len(first) == 2 + len(payload["sweep"]["grid"])
     assert first == second
     assert first == parallel
 
