@@ -8,6 +8,7 @@ site N.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -33,6 +34,10 @@ class ChainSpec:
         object.__setattr__(self, "b_field", tuple(float(b) for b in self.b_field))
         if self.n_sites < 1:
             raise SpecError(f"n_sites must be >= 1, got {self.n_sites}")
+        for name, values in (("alpha", (self.alpha,)), ("delta", self.delta),
+                             ("b_field", self.b_field)):
+            if not all(map(math.isfinite, values)):
+                raise SpecError(f"{name} must be finite")
         if len(self.delta) != self.n_sites - 1:
             raise SpecError(
                 f"delta profile needs {self.n_sites - 1} bond values, got {len(self.delta)}"

@@ -19,9 +19,11 @@ from pathlib import Path
 from .chain import ChainSpec, GradedProfile, expand_graded
 from .classical import ClassicalChainSpec
 from .errors import SpecError
-from .lindblad import SOLVER, STEADY_METHODS, DissipatorSpec, TargetZ, TwistedXY
+from .lindblad import METHOD, SOLVER, DissipatorSpec, TargetZ, TwistedXY, require_max_sites
 
 OUTPUT_FORMATS = ("csv", "json")
+# the accepted spellings of 'solver.method': both name the one steady-state solver
+STEADY_METHODS = ("auto", METHOD)
 
 # sweepable knobs and the bath family / model form they need
 SPIN_SWEEP_PARAMETERS = {
@@ -102,7 +104,6 @@ class ExperimentConfig:
     model: ModelSection | None
     bath: DissipatorSpec | None
     classical: ClassicalSection | None
-    method: str
     workers: int
     sweep: SweepSection | None
     output: OutputSection
@@ -118,6 +119,7 @@ def _parse_model(section: dict) -> ModelSection:
     n_sites = section["n_sites"]
     if not isinstance(n_sites, int) or isinstance(n_sites, bool):
         raise SpecError(f"'model.n_sites' must be an integer, got {n_sites!r}")
+    require_max_sites(n_sites)  # before any length-n_sites object exists
     alpha = _number(section, "alpha", "model")
 
     graded_form = "delta_mean" in section or "delta_step" in section
@@ -323,7 +325,6 @@ def load_config(path: str | Path, overrides: dict | None = None) -> ExperimentCo
         model=model,
         bath=bath,
         classical=classical,
-        method=method,
         workers=workers,
         sweep=sweep,
         output=output,

@@ -33,7 +33,6 @@ from .chain import (
     spin_current_op,
 )
 from .errors import (
-    NoConvergenceError,
     NonUniqueSteadyStateError,
     NumericalError,
     ShapeError,
@@ -41,7 +40,9 @@ from .errors import (
 )
 from .pauli import embed, pauli
 
-STEADY_METHODS = ("auto", "dense_null", "evolve")
+# The name of the one steady-state solver, which every SteadyState reports.
+# It is historical: the solver is neither dense nor a null-space solve.
+METHOD = "dense_null"
 
 # Shift for the shift-invert uniqueness certificate. A Lindbladian's spectrum
 # lies in Re(lambda) <= 0, so for any real shift s > 0 every zero mode is
@@ -81,14 +82,16 @@ class SolverConfig:
     conjugation_tol: float = 1e-8     # entrywise tolerance for transported steady states
     antisymmetry_tol: float = 1e-12   # |f_left + f_right| or |k + k_prime| counted as antisymmetric
     sign_floor: float = 1e-9          # current magnitudes below this count as zero
-    max_sites: int = 7                # every method refuses a longer chain
-    evolve_max_steps: int = 1_000_000
-    evolve_conv_tol: float = 1e-12    # per-step sup-norm change declaring a fixed point
-    evolve_min_steps: int = 10
-    trace_drift_tol: float = 1e-8
+    max_sites: int = 7                # the solver refuses a longer chain
 
 
 SOLVER = SolverConfig()
+
+
+def _require_finite(bath) -> None:
+    for name, value in vars(bath).items():
+        if not math.isfinite(value):
+            raise SpecError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -111,6 +114,7 @@ class TargetZ:
     gamma: float = 1.0
 
     def __post_init__(self):
+        _require_finite(self)
         if abs(self.f_left) > 1 or abs(self.f_right) > 1:
             raise SpecError(
                 f"drivings must satisfy |f| <= 1, got f_left={self.f_left}, f_right={self.f_right}"
@@ -163,6 +167,7 @@ class TwistedXY:
     swapped: bool = False
 
     def __post_init__(self):
+        _require_finite(self)
         if abs(self.k) > 1 or abs(self.k_prime) > 1:
             raise SpecError(f"|k| <= 1 required, got k={self.k}, k_prime={self.k_prime}")
         if self.rate <= 0:
@@ -341,23 +346,19 @@ def validate_state(rho: np.ndarray) -> StateDiagnostics:
     return diag
 
 
-def resolve_method(dim: int, method: str) -> str:
-    """Map 'auto' to dense_null, the one certified solver, and refuse any
-    method on a chain longer than ``SOLVER.max_sites`` sites."""
-    if method not in STEADY_METHODS:
-        raise SpecError(f"unknown method {method!r}; expected one of {STEADY_METHODS}")
-    if dim > 2**SOLVER.max_sites:
+def require_max_sites(n_sites: int) -> None:
+    """Refuse a chain longer than ``SOLVER.max_sites`` sites, by site count."""
+    if n_sites > SOLVER.max_sites:
         raise SpecError(
-            f"Hilbert dimension {dim} exceeds the solver limit 2^{SOLVER.max_sites}"
+            f"a chain of {n_sites} sites exceeds the solver limit of {SOLVER.max_sites} sites"
         )
-    return "dense_null" if method == "auto" else method
 
 
 @dataclass(frozen=True)
 class SteadyState:
     """A certified steady state and what its solve did.
 
-    ``method`` is the concrete solver 'auto' resolved to, ``residual`` the
+    ``method`` names the solver (always ``METHOD``), ``residual`` is the
     sup-norm of the generator applied to ``rho``, and ``wall_ms`` the wall
     time of the solve through its validation.
     """
@@ -368,37 +369,27 @@ class SteadyState:
     wall_ms: float
 
 
-def steady_state(liouv: Liouvillian, method: str = "auto") -> SteadyState:
+def steady_state(liouv: Liouvillian) -> SteadyState:
     """Solve for the unique trace-one fixed point of the generator.
 
-    dense_null (a historical name), which 'auto' always means, is a sparse
-    shift-invert zero mode: one shift-invert eigensolve of the sparse
-    superoperator, on one minimum-degree-ordered LU factor of A - shift*I,
-    certifies that the kernel is one-dimensional and returns its zero mode.
-    A generator that conserves magnetization weakly (target_z) is solved
-    inside its q = S^z(ket) - S^z(bra) = 0 block, which holds the steady
-    state; the second magnitude a refusal reports is then that sector's gap.
-    evolve, chosen only by name, integrates from the maximally mixed state
-    until the per-step change stalls and certifies no uniqueness; it is the
-    independent cross-check of dense_null. Both paths end with trace
-    normalization, Hermitization, and a residual check, and both refuse a
-    chain over ``SOLVER.max_sites`` sites before any work.
+    One shift-invert eigensolve of the sparse superoperator, on one
+    minimum-degree-ordered LU factor of A - shift*I, certifies that the
+    kernel is one-dimensional and returns its zero mode. A generator that
+    conserves magnetization weakly (target_z) is solved inside its
+    q = S^z(ket) - S^z(bra) = 0 block, which holds the steady state; the
+    second magnitude a refusal reports is then that sector's gap. The zero
+    mode is trace-normalized, Hermitized and checked for its residual and
+    validity. A generator on more than ``SOLVER.max_sites`` qubits is
+    refused before any work.
     """
     if not liouv.jumps:
         raise SpecError(
             "steady_state needs at least one jump operator; a closed system has "
             "no unique fixed point"
         )
-    resolved = resolve_method(liouv.dim, method)
+    require_max_sites((liouv.dim - 1).bit_length())  # the qubits a dim x dim state needs
     start = time.perf_counter()
-    if resolved == "dense_null":
-        candidate = _dense_null_candidate(liouv)
-    else:
-        candidate = _evolve_candidate(liouv)
-    return _finalize_steady(liouv, candidate, resolved, start)
-
-
-def _finalize_steady(liouv: Liouvillian, rho: np.ndarray, method: str, start: float) -> SteadyState:
+    rho = _dense_null_candidate(liouv)
     tr = np.trace(rho)
     if abs(tr) < SOLVER.trace_floor:
         raise NumericalError(f"candidate steady state has near-zero trace {abs(tr):.3e}")
@@ -406,11 +397,11 @@ def _finalize_steady(liouv: Liouvillian, rho: np.ndarray, method: str, start: fl
     rho = 0.5 * (rho + rho.conj().T)
     residual = liouvillian_residual(liouv, rho)
     if residual > SOLVER.residual_tol:
-        message = f"steady-state residual {residual:.3e} exceeds {SOLVER.residual_tol:.1e}"
-        raise NoConvergenceError(message) if method == "evolve" else NumericalError(message)
+        raise NumericalError(
+            f"steady-state residual {residual:.3e} exceeds {SOLVER.residual_tol:.1e}")
     validate_state(rho)
     wall_ms = round((time.perf_counter() - start) * 1e3, 3)
-    return SteadyState(rho, method, residual, wall_ms)
+    return SteadyState(rho, METHOD, residual, wall_ms)
 
 
 @lru_cache(maxsize=SOLVER.max_sites + 1)  # one entry per chain length
@@ -484,66 +475,6 @@ def _dense_null_candidate(liouv: Liouvillian) -> np.ndarray:
     return unvectorize(vector)
 
 
-def _spectral_bound(liouv: Liouvillian) -> float:
-    h_norm = float(np.abs(np.linalg.eigvalsh(liouv.hamiltonian)).max())
-    bound = 2.0 * h_norm
-    for _, ldl in liouv._pairs:
-        bound += 2.0 * float(np.abs(np.linalg.eigvalsh(ldl)).max())
-    return bound
-
-
-def _evolve_candidate(liouv: Liouvillian) -> np.ndarray:
-    """Integrate from the maximally mixed state with a step from the spectral bound."""
-    bound = _spectral_bound(liouv)
-    dt = 1.0 / bound if bound > 0 else 1.0
-    rho0 = np.eye(liouv.dim, dtype=complex) / liouv.dim
-    return evolve(liouv, rho0, dt, SOLVER.evolve_max_steps, stop_change=SOLVER.evolve_conv_tol)
-
-
-def evolve(
-    liouv: Liouvillian,
-    rho0: np.ndarray,
-    dt: float,
-    steps: int,
-    *,
-    stop_change: float | None = None,
-) -> np.ndarray:
-    """Fixed-step classical Runge-Kutta (4th order) integration of the master equation.
-
-    With ``stop_change`` set, integration halts once the per-step sup-norm
-    change falls below it and raises NoConvergenceError if that never
-    happens within ``steps``. The trace is monitored, not renormalized.
-    """
-    if dt <= 0:
-        raise SpecError(f"dt must be positive, got {dt}")
-    rho = np.array(rho0, dtype=complex)
-    if rho.shape != (liouv.dim, liouv.dim):
-        raise ShapeError(f"state shape {rho.shape} does not match dimension {liouv.dim}")
-    trace_start = np.trace(rho)
-    converged = stop_change is None
-    for step in range(steps):
-        k1 = liouv.apply(rho)
-        k2 = liouv.apply(rho + 0.5 * dt * k1)
-        k3 = liouv.apply(rho + 0.5 * dt * k2)
-        k4 = liouv.apply(rho + dt * k3)
-        new = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        change = float(np.abs(new - rho).max())
-        rho = new
-        if (stop_change is not None and step + 1 >= SOLVER.evolve_min_steps
-                and change <= stop_change):
-            converged = True
-            break
-    if not converged:
-        raise NoConvergenceError(
-            f"no fixed point within {steps} steps at dt={dt:.3e} "
-            f"(last per-step change {change:.3e})"
-        )
-    drift = abs(np.trace(rho) - trace_start)
-    if drift > SOLVER.trace_drift_tol:
-        raise NumericalError(f"trace drifted by {drift:.3e} over the run")
-    return rho
-
-
 def expectation(rho: np.ndarray, obs: np.ndarray) -> float:
     """Real expectation value tr(rho * obs) of a Hermitian observable."""
     rho = np.asarray(rho, dtype=complex)
@@ -614,20 +545,18 @@ def currents_profile(rho: np.ndarray, spec: ChainSpec) -> CurrentsProfile:
 _STEADY_CACHE_SIZE = 8
 
 
-def chain_steady_state(spec: ChainSpec, diss: DissipatorSpec, method: str = "auto") -> SteadyState:
-    """Hamiltonian + jumps + steady-state solve, memoised per argument set.
+def chain_steady_state(spec: ChainSpec, diss: DissipatorSpec) -> SteadyState:
+    """Hamiltonian + jumps + steady-state solve, memoised per (spec, bath).
 
-    The cache keys on the resolved method, so 'auto' and the solver it means
-    share one entry. The returned record is shared between calls, so its
-    ``rho`` is read-only.
+    The returned record is shared between calls, so its ``rho`` is read-only.
     """
-    # resolving refuses an oversize run before any operator is built
-    return _cached_chain_steady_state(spec, diss, resolve_method(spec.dim, method))
+    require_max_sites(spec.n_sites)  # before any operator is built
+    return _cached_chain_steady_state(spec, diss)
 
 
 @lru_cache(maxsize=_STEADY_CACHE_SIZE)
-def _cached_chain_steady_state(spec: ChainSpec, diss: DissipatorSpec, method: str) -> SteadyState:
+def _cached_chain_steady_state(spec: ChainSpec, diss: DissipatorSpec) -> SteadyState:
     liouv = build_liouvillian(build_hamiltonian(spec), jump_operators(diss, spec.n_sites))
-    solved = steady_state(liouv, method=method)
+    solved = steady_state(liouv)
     solved.rho.flags.writeable = False
     return solved

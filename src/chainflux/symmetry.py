@@ -50,9 +50,7 @@ class ConjugationReport:
     transformation: str  # "x-flip" | "xy-rotation"
 
 
-def check_conjugation_identity(
-    spec: ChainSpec, diss: DissipatorSpec, method: str = "auto"
-) -> ConjugationReport:
+def check_conjugation_identity(spec: ChainSpec, diss: DissipatorSpec) -> ConjugationReport:
     """Certify that the transported steady state solves the inverted-bath system.
 
     Solves both systems, conjugates the original steady state with the
@@ -61,8 +59,8 @@ def check_conjugation_identity(
     """
     _require_zero_field(spec, "the conjugation identity")
     diss.require_antisymmetric()
-    rho = chain_steady_state(spec, diss, method=method).rho
-    rho_inverted = chain_steady_state(spec, diss.inverted(), method=method).rho
+    rho = chain_steady_state(spec, diss).rho
+    rho_inverted = chain_steady_state(spec, diss.inverted()).rho
     u = conjugation_unitary(diss, spec.n_sites)
     transported = u @ rho @ u.conj().T
     max_error = float(np.abs(transported - rho_inverted).max())
@@ -95,10 +93,10 @@ class ParityReport:
     f_total_asymmetry: float
 
 
-def parity_report(spec: ChainSpec, diss: DissipatorSpec, method: str = "auto") -> ParityReport:
+def parity_report(spec: ChainSpec, diss: DissipatorSpec) -> ParityReport:
     diss.require_antisymmetric()
-    rho = chain_steady_state(spec, diss, method=method).rho
-    rho_inverted = chain_steady_state(spec, diss.inverted(), method=method).rho
+    rho = chain_steady_state(spec, diss).rho
+    rho_inverted = chain_steady_state(spec, diss.inverted()).rho
     forward = currents_profile(rho, spec)
     inverted = currents_profile(rho_inverted, spec)
     j_fwd, j_inv = central(forward.spin), central(inverted.spin)
@@ -145,7 +143,6 @@ def energy_current_direction_scan(
     drive_grid,
     *,
     bath: DissipatorSpec = TargetZ(0.0, 0.0),
-    method: str = "auto",
 ) -> DirectionScan:
     """Scan the exchange energy current over a driving grid and its inversion.
 
@@ -161,7 +158,7 @@ def energy_current_direction_scan(
     rows = []
     signs = set()
     for drive in drive_grid:
-        report = parity_report(spec, bath.with_drive(float(drive)), method=method)
+        report = parity_report(spec, bath.with_drive(float(drive)))
         s_fwd = _sign(report.f_xxz_forward, SOLVER.sign_floor)
         s_inv = _sign(report.f_xxz_inverted, SOLVER.sign_floor)
         rows.append(

@@ -2,13 +2,14 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to get one pass/fail line
 per criterion. Steady states are cached module-wide, so each N=6 solve runs
-exactly once; expect a total runtime of about 6 seconds on a 2-core machine.
+exactly once; expect a total runtime of about 5 seconds on a 2-core machine.
 """
 
 import functools
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from chainflux.chain import (
     ChainSpec,
@@ -23,6 +24,7 @@ from chainflux.classical import (
     rectification_experiment,
 )
 from chainflux.lindblad import (
+    SOLVER,
     TargetZ,
     TwistedXY,
     build_liouvillian,
@@ -38,14 +40,14 @@ from chainflux.symmetry import check_conjugation_identity
 _SOLVES: dict = {}
 
 
-def _solve(spec, diss, method="dense_null"):
+def _solve(spec, diss):
     """Cached steady-state solve; keeps the generator and currents around."""
-    key = (spec, diss, method)
+    key = (spec, diss)
     if key not in _SOLVES:
         liouv = build_liouvillian(
             build_hamiltonian(spec), jump_operators(diss, spec.n_sites)
         )
-        rho = steady_state(liouv, method=method).rho
+        rho = steady_state(liouv).rho
         profile = currents_profile(rho, spec)
         _SOLVES[key] = (spec, liouv, rho, profile)
     return _SOLVES[key]
@@ -222,8 +224,26 @@ def test_criterion_09_classical_contrast():
     assert report.profile_reversal_mismatch > 1e-3
 
 
-@criterion("10 dense null-space and time evolution agree")
-def test_criterion_10_method_oracle_equivalence():
+def _apply_eig_oracle(liouv):
+    """Trace-one null vector and second eigenvalue magnitude of a full dense
+    eig of the superoperator built column by column from ``Liouvillian.apply``
+    on the matrix units: independent of the sparse assembly, the q=0 block,
+    the LU factor and ARPACK."""
+    d = liouv.dim
+    superop = np.empty((d * d, d * d), dtype=complex)
+    for column in range(d * d):
+        unit = np.zeros(d * d, dtype=complex)
+        unit[column] = 1.0
+        superop[:, column] = liouv.apply(unit.reshape((d, d), order="F")).reshape(-1, order="F")
+    values, vectors = scipy.linalg.eig(superop)
+    order = np.argsort(np.abs(values))
+    null = vectors[:, order[0]].reshape((d, d), order="F")
+    return null / np.trace(null), abs(values[order[1]])
+
+
+def _oracle_chains():
+    """The 20 seeded random chains, then fixed chains: N=3 with both
+    families, and the fully polarized N=2 target_z chain."""
     rng = np.random.default_rng(2024)
     for trial in range(20):
         n_sites = int(rng.integers(2, 5))
@@ -245,7 +265,19 @@ def test_criterion_10_method_oracle_equivalence():
                 k_prime=float(rng.uniform(-0.9, 0.9)),
                 rate=float(rng.uniform(0.5, 2.0)),
             )
-        dense = chain_steady_state(spec, diss, method="dense_null").rho
-        evolved = chain_steady_state(spec, diss, method="evolve").rho
-        gap = float(np.abs(dense - evolved).max())
-        assert gap <= 1e-7, (trial, n_sites, diss, gap)
+        yield spec, diss
+    spec = ChainSpec(3, alpha=1.0, delta=(0.5, 1.5), b_field=(0.0,) * 3)
+    yield spec, TargetZ(0.5, -0.5)
+    yield spec, TwistedXY(0.6, -0.6)
+    yield ChainSpec(2, alpha=1.0, delta=(1.0,), b_field=(0.0, 0.0)), TargetZ(1.0, -1.0)
+
+
+@criterion("10 certified solver matches a dense eig of the apply-built generator")
+def test_criterion_10_method_oracle_equivalence():
+    for spec, diss in _oracle_chains():
+        liouv = build_liouvillian(build_hamiltonian(spec), jump_operators(diss, spec.n_sites))
+        oracle, second = _apply_eig_oracle(liouv)
+        assert second > SOLVER.unique_tol, (spec, diss, second)
+        rho = chain_steady_state(spec, diss).rho
+        gap = float(np.abs(rho - oracle).max())
+        assert gap <= 1e-12, (spec, diss, gap)

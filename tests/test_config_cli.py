@@ -655,15 +655,47 @@ def test_cli_requires_output_path(tmp_path):
     assert not (tmp_path / "out.csv").exists()
 
 
-def test_cli_method_override_is_echoed(tmp_path):
+def test_cli_method_override_is_echoed(tmp_path, monkeypatch, capsys):
     config = _write_config(tmp_path, "c.json", {
         "model": {"n_sites": 2, "alpha": 1.0, "delta": [1.0]},
         "bath": {"family": "target_z", "f": 0.5},
         "output": {"path": str(tmp_path / "out.csv")},
     })
-    assert main(["steady", "--config", str(config), "--method", "evolve"]) == 0
-    _, _, rows = _read_csv(tmp_path / "out.csv")
-    assert all(r["method"] == "evolve" for r in rows)
+    assert main(["steady", "--config", str(config), "--method", "dense_null"]) == 0
+    header, _, rows = _read_csv(tmp_path / "out.csv")
+    assert all(r["method"] == "dense_null" for r in rows)
+    assert json.loads(header[1].removeprefix("# config: "))["solver"]["method"] == "dense_null"
+
+    # 'evolve' and any other name is a config error before any operator is built
+    def refuse(*args):
+        raise AssertionError("an operator of a refused run was built")
+
+    monkeypatch.setattr(lindblad, "build_hamiltonian", refuse)
+    message = "config error: 'solver.method' must be one of ('auto', 'dense_null'), got 'evolve'"
+    assert main(["steady", "--config", str(config), "--method", "evolve"]) == 2
+    assert message in capsys.readouterr().err
+    config = _write_config(tmp_path, "c.json", {
+        "model": {"n_sites": 2, "alpha": 1.0, "delta": [1.0]},
+        "bath": {"family": "target_z", "f": 0.5},
+        "solver": {"method": "evolve"},
+        "output": {"path": str(tmp_path / "evolve.csv")},
+    })
+    assert main(["steady", "--config", str(config)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "evolve.csv").exists()
+
+
+def test_cli_refuses_an_oversize_model_by_its_site_count(tmp_path, capsys):
+    # the cap is checked on the integer before any length-n_sites object
+    # exists, and the message formats no 2**n_sites dimension
+    config = _write_config(tmp_path, "c.json", {
+        "model": {"n_sites": 20_000, "alpha": 1.0, "delta_mean": 1.0, "delta_step": 0.5},
+        "bath": {"family": "target_z", "f": 0.5},
+        "output": {"path": str(tmp_path / "out.csv")},
+    })
+    assert main(["steady", "--config", str(config)]) == 2
+    assert ("config error: a chain of 20000 sites exceeds the solver limit of 7 sites"
+            in capsys.readouterr().err)
 
 
 def test_cli_workers_flag_is_checked_as_the_config_entry(tmp_path, capsys):

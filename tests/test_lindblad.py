@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,26 +13,25 @@ from hypothesis import strategies as st
 
 import chainflux.lindblad as lindblad
 from chainflux.chain import ChainSpec, GradedProfile, build_hamiltonian, expand_graded
+from chainflux.cli import main
+from chainflux.config import STEADY_METHODS
 from chainflux.errors import (
-    NoConvergenceError,
     NonUniqueSteadyStateError,
     NumericalError,
     ShapeError,
     SpecError,
 )
 from chainflux.lindblad import (
-    STEADY_METHODS,
     SolverConfig,
     TargetZ,
     TwistedXY,
     build_liouvillian,
     chain_steady_state,
     currents_profile,
-    evolve,
     expectation,
     jump_operators,
     liouvillian_residual,
-    resolve_method,
+    require_max_sites,
     state_diagnostics,
     steady_state,
     unvectorize,
@@ -115,6 +116,28 @@ def test_dissipator_validation():
         TwistedXY(k=0.5, k_prime=0.5, rate=-1.0)
 
 
+_NON_FINITE_SPECS = {
+    "f_left": (TargetZ, (math.nan, -0.5), {}),
+    "f_right": (TargetZ, (0.5, -math.inf), {}),
+    "gamma": (TargetZ, (0.5, -0.5), {"gamma": math.inf}),
+    "k": (TwistedXY, (math.nan, -0.3), {}),
+    "k_prime": (TwistedXY, (0.3, math.inf), {}),
+    "rate": (TwistedXY, (0.3, -0.3), {"rate": math.nan}),
+    "alpha": (ChainSpec, (3, math.nan, (1.0, 1.0), (0.0,) * 3), {}),
+    "delta": (ChainSpec, (3, 1.0, (1.0, math.inf), (0.0,) * 3), {}),
+    "b_field": (ChainSpec, (3, 1.0, (1.0, 1.0), (0.0, math.nan, 0.0)), {}),
+}
+
+
+@pytest.mark.parametrize("field", _NON_FINITE_SPECS)
+def test_specs_refuse_non_finite_fields(field):
+    kind, args, kwargs = _NON_FINITE_SPECS[field]
+    # NaN passes every range comparison, and inf gamma or rate is positive;
+    # either would reach the factorisation as a singular matrix
+    with pytest.raises(SpecError, match=f"^{field} must be finite"):
+        kind(*args, **kwargs)
+
+
 # --- generator assembly ------------------------------------------------------
 
 
@@ -144,7 +167,7 @@ def test_single_site_damping_superoperator_by_hand():
         dtype=complex,
     )
     assert np.allclose(liouv.matrix.toarray(), expected, atol=1e-15)
-    rho = steady_state(liouv, method="dense_null").rho
+    rho = steady_state(liouv).rho
     assert np.allclose(rho, np.diag([0.0, 1.0]), atol=1e-12)
     assert expectation(rho, pauli("z")) == pytest.approx(-1.0, abs=1e-12)
 
@@ -194,7 +217,7 @@ def test_zero_mode_factorises_once_per_solve(monkeypatch):
     spec = expand_graded(GradedProfile(1.0, 0.5), 4, b_field=0.2)
     for solves, diss in enumerate([TargetZ(0.5, -0.5), TwistedXY(0.5, -0.5)], start=1):
         liouv = build_liouvillian(build_hamiltonian(spec), jump_operators(diss, 4))
-        steady_state(liouv, method="dense_null")
+        steady_state(liouv)
         assert len(factorisations) == solves
     assert factorisations[0]["permc_spec"] == "MMD_AT_PLUS_A"
 
@@ -213,7 +236,7 @@ def test_zero_mode_factorises_the_q0_block_of_a_magnetization_conserving_generat
     monkeypatch.setattr(scipy.sparse.linalg, "splu", recording_splu)
     spec = expand_graded(GradedProfile(1.0, 0.5), n_sites, b_field=0.2)
     liouv = build_liouvillian(build_hamiltonian(spec), jump_operators(diss, n_sites))
-    steady_state(liouv, method="dense_null")
+    steady_state(liouv)
     # target_z conserves magnetization weakly: only the C(2N, N) indices with
     # S^z(ket) = S^z(bra) are factorised; twisted_xy factorises all 4^N
     dim = math.comb(2 * n_sites, n_sites) if isinstance(diss, TargetZ) else 4**n_sites
@@ -269,48 +292,62 @@ def test_steady_state_requires_jumps():
 
 
 def test_two_site_method_cross_validation():
+    # fully polarized edges (two zero jumps) against the independent full-eig oracle
     spec = ChainSpec(2, alpha=1.0, delta=(1.0,), b_field=(0.0, 0.0))
     diss = TargetZ(1.0, -1.0, gamma=1.0)
-    rho_dense = chain_steady_state(spec, diss, method="dense_null").rho
-    rho_evolve = chain_steady_state(spec, diss, method="evolve").rho
+    liouv = build_liouvillian(build_hamiltonian(spec), jump_operators(diss, 2))
+    oracle, _ = _full_eig_oracle(liouv)
+    rho = chain_steady_state(spec, diss).rho
+    assert np.abs(rho - oracle).max() < 1e-12
     for site in (1, 2):
         sz = embed(pauli("z"), site, 2)
-        assert abs(expectation(rho_dense, sz) - expectation(rho_evolve, sz)) < 1e-8
+        assert abs(expectation(rho, sz) - expectation(oracle, sz)) < 1e-12
 
 
 def test_chain_steady_state_is_memoised_and_read_only(monkeypatch):
     _cached_chain_steady_state.cache_clear()
-    methods = []
+    solves = []
 
-    def counting(liouv, method="auto"):
-        methods.append(method)
-        return steady_state(liouv, method=method)
+    def counting(liouv):
+        solves.append(liouv)
+        return steady_state(liouv)
 
     monkeypatch.setattr(lindblad, "steady_state", counting)
     spec = expand_graded(GradedProfile(1.0, 0.5), 3)
     diss = TargetZ(0.5, -0.5)
     first = chain_steady_state(spec, diss)
-    assert chain_steady_state(spec, diss) is first
-    assert methods == ["dense_null"]
+    # the cache keys on (spec, bath): equal arguments are the same entry
+    assert chain_steady_state(expand_graded(GradedProfile(1.0, 0.5), 3),
+                              TargetZ(0.5, -0.5)) is first
+    assert len(solves) == 1
     assert first.method == "dense_null"
     assert not first.rho.flags.writeable
     with pytest.raises(ValueError):
         first.rho[0, 0] = 0.0
-    # 'auto' means dense_null, so asking for it by name is the same entry
-    assert chain_steady_state(spec, diss, method="dense_null") is first
-    assert methods == ["dense_null"]
 
 
 @pytest.mark.parametrize("method", ["auto", "dense_null", "evolve"],
                          ids=["n8_auto", "n8_dense_null", "n8_evolve"])
-def test_chain_steady_state_refuses_an_oversize_run_before_building(monkeypatch, method):
+def test_chain_steady_state_refuses_an_oversize_run_before_building(monkeypatch, tmp_path,
+                                                                    capsys, method):
     def refuse(spec):
         raise AssertionError("the Hamiltonian of a refused run was built")
 
     monkeypatch.setattr(lindblad, "build_hamiltonian", refuse)
     spec = expand_graded(GradedProfile(1.0, 0.5), 8)
-    with pytest.raises(SpecError, match="Hilbert dimension 256 exceeds the solver limit 2\\^7"):
-        chain_steady_state(spec, TargetZ(0.5, -0.5), method)
+    with pytest.raises(SpecError, match="a chain of 8 sites exceeds the solver limit of 7 sites"):
+        chain_steady_state(spec, TargetZ(0.5, -0.5))
+    # through the CLI the model is refused first, whatever the method flag says
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({
+        "model": {"n_sites": 8, "alpha": 1.0, "delta_mean": 1.0, "delta_step": 0.5},
+        "bath": {"family": "target_z", "f": 0.5},
+        "output": {"path": str(tmp_path / "out.csv")},
+    }))
+    assert main(["steady", "--config", str(config), "--method", method]) == 2
+    assert ("config error: a chain of 8 sites exceeds the solver limit of 7 sites"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_solver_thresholds_are_the_fixed_contract():
@@ -327,10 +364,6 @@ def test_solver_thresholds_are_the_fixed_contract():
         "antisymmetry_tol": 1e-12,
         "sign_floor": 1e-9,
         "max_sites": 7,
-        "evolve_max_steps": 1_000_000,
-        "evolve_conv_tol": 1e-12,
-        "evolve_min_steps": 10,
-        "trace_drift_tol": 1e-8,
     }
 
 
@@ -357,11 +390,10 @@ def test_currents_profile_builds_field_currents_only_where_the_field_is(monkeypa
 def test_steady_state_record_reports_the_solve():
     spec = ChainSpec(2, alpha=1.0, delta=(1.0,), b_field=(0.0, 0.0))
     liouv = build_liouvillian(build_hamiltonian(spec), jump_operators(TargetZ(0.5, -0.5), 2))
-    for method, resolved in (("auto", "dense_null"), ("evolve", "evolve")):
-        solved = steady_state(liouv, method=method)
-        assert solved.method == resolved
-        assert solved.residual == liouvillian_residual(liouv, solved.rho)
-        assert solved.wall_ms >= 0.0
+    solved = steady_state(liouv)
+    assert solved.method == "dense_null"
+    assert solved.residual == liouvillian_residual(liouv, solved.rho)
+    assert solved.wall_ms >= 0.0
 
 
 def test_bath_family_facts():
@@ -381,7 +413,7 @@ def test_three_site_graded_residual_and_validity():
     liouv = build_liouvillian(
         build_hamiltonian(spec), jump_operators(TargetZ(0.5, -0.5), 3)
     )
-    rho = steady_state(liouv, method="dense_null").rho
+    rho = steady_state(liouv).rho
     assert liouvillian_residual(liouv, rho) < 1e-9
     diag = validate_state(rho)
     assert diag.trace_error < 1e-10
@@ -406,14 +438,14 @@ def test_steady_state_unique_for_randomized_parameters():
         liouv = build_liouvillian(build_hamiltonian(spec), jump_operators(diss, n_sites))
         values = np.linalg.eigvals(liouv.matrix.toarray())
         assert np.count_nonzero(np.abs(values) < cfg.unique_tol) == 1
-        steady_state(liouv, method="dense_null")  # must not raise
+        steady_state(liouv)  # must not raise
 
 
 def test_pure_dephasing_detected_as_non_unique():
     # a lone z jump preserves every diagonal state
     liouv = build_liouvillian(np.zeros((2, 2)), [pauli("z")])
     with pytest.raises(NonUniqueSteadyStateError):
-        steady_state(liouv, method="dense_null")
+        steady_state(liouv)
 
 
 def _full_eig_oracle(liouv):
@@ -439,7 +471,7 @@ def test_dense_null_matches_full_eig_oracle():
                              rate=rng.uniform(0.5, 2.0))
         liouv = build_liouvillian(build_hamiltonian(spec), jump_operators(diss, n_sites))
         oracle, gap = _full_eig_oracle(liouv)
-        rho = steady_state(liouv, method="dense_null").rho
+        rho = steady_state(liouv).rho
         assert np.abs(rho - oracle).max() < 1e-12, (trial, diss)
         magnitudes, _ = _zero_mode(liouv.matrix)
         assert magnitudes[0] < SolverConfig().unique_tol
@@ -454,7 +486,7 @@ def test_target_z_block_solve_matches_full_eig_oracle(n_sites, b):
                      b_field=(b,) * n_sites)
     liouv = build_liouvillian(build_hamiltonian(spec), jump_operators(TargetZ(0.5, -0.5), n_sites))
     oracle, gap = _full_eig_oracle(liouv)
-    rho = steady_state(liouv, method="dense_null").rho
+    rho = steady_state(liouv).rho
     assert np.abs(rho - oracle).max() < 1e-12
     magnitudes, vector = _zero_mode(liouv.matrix)
     assert vector.shape == (4**n_sites,)
@@ -488,9 +520,9 @@ def test_q0_block_refuses_exactly_when_the_full_kernel_is_degenerate(liouv):
     magnitudes = np.abs(scipy.linalg.eigvals(liouv.matrix.toarray()))
     if np.count_nonzero(magnitudes < SolverConfig().unique_tol) >= 2:
         with pytest.raises(NonUniqueSteadyStateError):
-            steady_state(liouv, method="dense_null")
+            steady_state(liouv)
     else:
-        steady_state(liouv, method="dense_null")  # must not raise
+        steady_state(liouv)  # must not raise
 
 
 # The borderline set: graded chain 1 +- 0.5, field 0.3, drive 0.5; alpha small
@@ -521,80 +553,52 @@ def test_borderline_uniqueness_outcomes_are_pinned(n_sites, family, alpha, rate)
     liouv = build_liouvillian(build_hamiltonian(spec), jump_operators(diss, n_sites))
     if (alpha, rate) in _BORDERLINE_REFUSED[family, n_sites]:
         with pytest.raises(NonUniqueSteadyStateError):
-            steady_state(liouv, method="dense_null")
+            steady_state(liouv)
     else:
-        assert steady_state(liouv, method="dense_null").residual <= SolverConfig().residual_tol
+        assert steady_state(liouv).residual <= SolverConfig().residual_tol
 
 
 @pytest.mark.parametrize("n_sites", [3, 4])
 @pytest.mark.parametrize("diss", [TargetZ(0.5, -0.5), TwistedXY(0.6, -0.3)])
 @pytest.mark.parametrize("method", ["dense_null", "auto"])
-def test_decoupled_chain_detected_as_non_unique(n_sites, diss, method):
+def test_decoupled_chain_detected_as_non_unique(tmp_path, capsys, n_sites, diss, method):
     # alpha = 0 leaves the interior z-spins conserved: one steady state per sector
     spec = ChainSpec(
         n_sites, alpha=0.0, delta=tuple(np.linspace(0.5, 1.5, n_sites - 1)),
         b_field=(0.3,) * n_sites,
     )
     with pytest.raises(NonUniqueSteadyStateError, match=r"magnitudes \S+ and \S+"):
-        chain_steady_state(spec, diss, method=method)
+        chain_steady_state(spec, diss)
+    # either spelling of the solver in a config file is a solver error (exit 1)
+    bath = {key: value for key, value in dataclasses.asdict(diss).items() if key != "swapped"}
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({
+        "model": {"n_sites": n_sites, "alpha": 0.0, "delta": list(spec.delta),
+                  "b_field": list(spec.b_field)},
+        "bath": {"family": diss.family, **bath},
+        "solver": {"method": method},
+        "output": {"path": str(tmp_path / "out.csv")},
+    }))
+    assert main(["steady", "--config", str(config)]) == 1
+    assert re.search(r"solver error: .*magnitudes \S+ and \S+", capsys.readouterr().err)
 
 
 def test_method_resolution_and_size_guards():
-    assert resolve_method(2**6, "auto") == "dense_null"
-    assert resolve_method(2**7, "auto") == "dense_null"
-    assert resolve_method(2**7, "dense_null") == "dense_null"
-    assert resolve_method(2**7, "evolve") == "evolve"
-    for method in STEADY_METHODS:
-        with pytest.raises(SpecError, match="exceeds the solver limit 2\\^7"):
-            resolve_method(2**8, method)
-    with pytest.raises(SpecError):
-        resolve_method(4, "something_else")
-
-
-# --- time evolution ------------------------------------------------------------
-
-
-def test_evolve_zero_generator_keeps_state():
-    liouv = build_liouvillian(np.zeros((2, 2)), [])
-    rho0 = np.array([[0.25, 0.1], [0.1, 0.75]], dtype=complex)
-    rho = evolve(liouv, rho0, dt=0.1, steps=50)
-    assert np.array_equal(rho, rho0)
-
-
-def test_evolve_unitary_coherence_rotation():
-    # closed system H = z: off-diagonal rotates as exp(-2it), trace constant
-    liouv = build_liouvillian(pauli("z"), [])
-    plus = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
-    t_final = 0.7
-    steps = 700
-    rho = evolve(liouv, plus, dt=t_final / steps, steps=steps)
-    expected01 = 0.5 * np.exp(-2j * t_final)
-    assert abs(rho[0, 1] - expected01) < 1e-10
-    assert abs(np.trace(rho) - 1.0) < 1e-12
-
-
-def test_evolve_matches_dense_null():
-    spec = ChainSpec(3, alpha=1.0, delta=(0.5, 1.5), b_field=(0.0,) * 3)
-    for diss in (TargetZ(0.5, -0.5), TwistedXY(0.6, -0.6)):
-        dense = chain_steady_state(spec, diss, method="dense_null").rho
-        evolved = chain_steady_state(spec, diss, method="evolve").rho
-        assert np.abs(dense - evolved).max() < 1e-7
-
-
-def test_evolve_flags_non_convergence():
-    spec = ChainSpec(2, alpha=1.0, delta=(1.0,), b_field=(0.0, 0.0))
-    liouv = build_liouvillian(
-        build_hamiltonian(spec), jump_operators(TargetZ(0.8, -0.8), 2)
-    )
-    rho0 = np.eye(4, dtype=complex) / 4
-    with pytest.raises(NoConvergenceError):
-        evolve(liouv, rho0, dt=1e-3, steps=20, stop_change=1e-15)
-
-
-def test_evolve_rejects_bad_dt():
-    liouv = build_liouvillian(np.zeros((2, 2)), [])
-    with pytest.raises(SpecError):
-        evolve(liouv, np.eye(2) / 2, dt=0.0, steps=10)
+    # the config spellings of the one solver; the library takes no method
+    assert STEADY_METHODS == ("auto", "dense_null")
+    for n_sites in (1, 6, 7):
+        require_max_sites(n_sites)
+    # the guard compares site counts, so a huge count gives a short message
+    for n_sites in (8, 100_000):
+        with pytest.raises(SpecError, match=f"^a chain of {n_sites} sites exceeds the solver "
+                                            "limit of 7 sites$"):
+            require_max_sites(n_sites)
+    # steady_state counts the qubits of its generator: above 2^7 it needs eight
+    for dim in (129, 256):
+        liouv = build_liouvillian(np.zeros((dim, dim)), [np.eye(dim)])
+        with pytest.raises(SpecError, match="a chain of 8 sites exceeds"):
+            steady_state(liouv)
+        assert "matrix" not in vars(liouv)  # refused before the generator was assembled
 
 
 # --- expectations and currents --------------------------------------------------
