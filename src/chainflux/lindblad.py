@@ -33,6 +33,7 @@ from .chain import (
     spin_current_op,
 )
 from .errors import (
+    NoConvergenceError,
     NonUniqueSteadyStateError,
     NumericalError,
     ShapeError,
@@ -53,6 +54,10 @@ _CERTIFICATE_SHIFT = 1e-6
 # ARPACK start vector seed: a fixed random start keeps the certificate
 # reproducible and, unlike vec(I), has a component along every zero mode.
 _CERTIFICATE_SEED = 20170315
+# Cap on the certificate's ARPACK restarts (maxiter). The borderline chains
+# (N=3..5, both families) need at most about 7; a near-degenerate kernel can
+# stall for thousands, which the cap turns into a prompt NoConvergenceError.
+_CERTIFICATE_MAX_RESTARTS = 50
 # SuperLU options for the one factor of A - shift*I that ARPACK inverts: a
 # minimum-degree ordering of A^T + A with preference for diagonal pivots. On
 # the N=6 generators it cuts the fill of SuperLU's default (COLAMD ordering,
@@ -265,12 +270,17 @@ class Liouvillian:
 
     @cached_property
     def matrix(self) -> scipy.sparse.csc_matrix:
-        """Sparse column-stacked superoperator of shape (dim^2, dim^2).
+        """Sparse column-stacked superoperator of shape (dim^2, dim^2)."""
+        return self._assemble()[0]
 
-        One COO assembly of I (x) K + conj(K) (x) I + sum_s conj(L_s) (x) L_s
-        from the nonzeros of the dense factors. Entries at one position are
-        summed in that term order, and entries that cancel to exact zero are
-        dropped, as a chain of sparse ``kron`` sums would.
+    def _assemble(self, shift: float = 0.0, q0: bool = False):
+        """CSC matrix of I (x) K + conj(K) (x) I + sum_s conj(L_s) (x) L_s - shift*I,
+        and the column-stacked indices of its rows and columns: the q=0 ones if
+        ``q0`` and no entry couples two sectors of q = S^z(ket) - S^z(bra).
+
+        One COO assembly from the nonzeros of the dense factors. Entries at one
+        position are summed in that term order, the shift last, and entries
+        that cancel to exact zero are dropped, as sparse ``kron`` sums would.
         """
         d, size = self.dim, self.dim**2
         k_eff = -1j * self.hamiltonian
@@ -291,13 +301,28 @@ class Liouvillian:
             val = L[row, col]
             keys.append(kron_key(row, col, row, col))
             values.append(np.multiply.outer(val.conj(), val).ravel())
+        if shift:
+            keys.append(np.arange(size) * (size + 1))
+            values.append(np.full(size, -shift, dtype=complex))
         key, position = np.unique(np.concatenate(keys), return_inverse=True)
         total = np.zeros(key.size, dtype=complex)
         np.add.at(total, position, np.concatenate(values))  # in term order, one by one
         keep = total != 0
         key, total = key[keep], total[keep]
-        indptr = np.searchsorted(key // size, np.arange(size + 1))
-        return scipy.sparse.csc_matrix((total, key % size, indptr), shape=(size, size))
+        row, col, index = key % size, key // size, np.arange(size)
+        ones = sum((ident >> bit) & 1 for bit in range(d.bit_length()))  # flipped spins
+        charge = np.tile(ones, d) - np.repeat(ones, d)  # q of each column-stacked index
+        if q0 and np.array_equal(charge[row], charge[col]):
+            # a weak U(1) symmetry (target_z, with or without a field): the
+            # steady state lies in q=0, and the kernel is one-dimensional
+            # exactly when the q=0 block's kernel is, since the U(1) action
+            # maps the stationary states onto themselves (Albert & Jiang,
+            # PRA 89, 022118 (2014))
+            inside, index = charge[col] == 0, np.flatnonzero(charge == 0)
+            rank = np.cumsum(charge == 0) - 1  # block position of each q=0 index
+            row, col, total = rank[row[inside]], rank[col[inside]], total[inside]
+        indptr = np.searchsorted(col, np.arange(index.size + 1))
+        return scipy.sparse.csc_matrix((total, row, indptr), shape=(index.size,) * 2), index
 
 
 def build_liouvillian(hamiltonian: np.ndarray, jumps: Sequence[np.ndarray]) -> Liouvillian:
@@ -377,10 +402,11 @@ def steady_state(liouv: Liouvillian) -> SteadyState:
     kernel is one-dimensional and returns its zero mode. A generator that
     conserves magnetization weakly (target_z) is solved inside its
     q = S^z(ket) - S^z(bra) = 0 block, which holds the steady state; the
-    second magnitude a refusal reports is then that sector's gap. The zero
-    mode is trace-normalized, Hermitized and checked for its residual and
-    validity. A generator on more than ``SOLVER.max_sites`` qubits is
-    refused before any work.
+    second magnitude a refusal reports is then that sector's gap. An
+    eigensolve that does not converge within ``_CERTIFICATE_MAX_RESTARTS``
+    restarts raises NoConvergenceError. The zero mode is trace-normalized,
+    Hermitized and checked for its residual and validity. A generator on
+    more than ``SOLVER.max_sites`` qubits is refused before any work.
     """
     if not liouv.jumps:
         raise SpecError(
@@ -389,7 +415,8 @@ def steady_state(liouv: Liouvillian) -> SteadyState:
         )
     require_max_sites((liouv.dim - 1).bit_length())  # the qubits a dim x dim state needs
     start = time.perf_counter()
-    rho = _dense_null_candidate(liouv)
+    # the zero mode of a certified one-dimensional kernel is the steady state
+    rho = unvectorize(_zero_mode(liouv)[1])
     tr = np.trace(rho)
     if abs(tr) < SOLVER.trace_floor:
         raise NumericalError(f"candidate steady state has near-zero trace {abs(tr):.3e}")
@@ -404,75 +431,45 @@ def steady_state(liouv: Liouvillian) -> SteadyState:
     return SteadyState(rho, METHOD, residual, wall_ms)
 
 
-@lru_cache(maxsize=SOLVER.max_sites + 1)  # one entry per chain length
-def _charge(dim: int) -> np.ndarray:
-    """q = S^z(ket) - S^z(bra), in flipped spins, of each column-stacked index
-    of a dim x dim matrix: the set bits of the row index minus those of the
-    column index. Shared and read-only."""
-    basis = np.arange(dim)
-    ones = sum((basis >> bit) & 1 for bit in range(dim.bit_length()))
-    charge = np.tile(ones, dim) - np.repeat(ones, dim)
-    charge.flags.writeable = False
-    return charge
-
-
-def _solve_indices(matrix: scipy.sparse.csc_matrix) -> np.ndarray:
-    """The q=0 indices if no stored entry couples two q-sectors, else every index.
-
-    A generator that conserves magnetization weakly (target_z, with or without
-    a field) never couples sectors, and its steady state lies in q=0. Its
-    kernel is one-dimensional exactly when its q=0 block's kernel is: the
-    U(1) action maps the stationary states onto themselves, so a kernel of
-    dimension >= 2 holds two independent q=0 states (Albert & Jiang,
-    PRA 89, 022118 (2014)).
-    """
-    charge = _charge(math.isqrt(matrix.shape[0]))
-    if np.array_equal(charge[matrix.indices], np.repeat(charge, np.diff(matrix.indptr))):
-        return np.flatnonzero(charge == 0)
-    return np.arange(matrix.shape[0])
-
-
-def _zero_mode(matrix: scipy.sparse.csc_matrix) -> tuple[np.ndarray, np.ndarray]:
+def _zero_mode(liouv: Liouvillian) -> tuple[np.ndarray, np.ndarray]:
     """Magnitudes of the two eigenvalues nearest the shift, smallest first,
     and the eigenvector of the smallest one, as a full-length vector.
 
-    The eigensolve runs on the rows and columns of ``_solve_indices``: the
-    q=0 block of a magnetization-conserving generator, whose second
-    magnitude is then the q=0 sector's gap, or else the whole matrix.
+    The eigensolve runs on the shifted q=0 block (then the second magnitude
+    is that sector's gap) or else the whole shifted generator. Refused unless
+    the kernel is one-dimensional and ARPACK converges within the cap.
     """
-    n = matrix.shape[0]
-    index = _solve_indices(matrix)
-    block = matrix if index.size == n else matrix[index[:, None], index]
-    m = block.shape[0]
+    shifted, index = liouv._assemble(_CERTIFICATE_SHIFT, q0=True)
+    m = shifted.shape[0]
     k = 2
     if m <= k + 1:
-        # ARPACK needs k < m - 1
-        values, vectors = np.linalg.eig(block.toarray())
+        # ARPACK needs k < m - 1: the block of a one-qubit generator gets a dense
+        # eig of its unshifted assembly
+        values, vectors = np.linalg.eig(liouv._assemble(q0=True)[0].toarray())
     else:
         rng = np.random.default_rng(_CERTIFICATE_SEED)
         v0 = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        shifted = block - _CERTIFICATE_SHIFT * scipy.sparse.identity(m, format="csc")
         factor = scipy.sparse.linalg.splu(shifted, **_FACTOR_OPTIONS)
-        op_inv = scipy.sparse.linalg.LinearOperator(block.shape, factor.solve, dtype=complex)
-        values, vectors = scipy.sparse.linalg.eigs(block, k=k, sigma=_CERTIFICATE_SHIFT, v0=v0,
-                                                   OPinv=op_inv)
+        op_inv = scipy.sparse.linalg.LinearOperator(shifted.shape, factor.solve, dtype=complex)
+        try:  # with OPinv given, ARPACK reads only the shape and dtype of the matrix
+            values, vectors = scipy.sparse.linalg.eigs(
+                shifted, k=k, sigma=_CERTIFICATE_SHIFT, v0=v0, OPinv=op_inv,
+                maxiter=_CERTIFICATE_MAX_RESTARTS)
+        except scipy.sparse.linalg.ArpackNoConvergence as exc:
+            raise NoConvergenceError(
+                f"the shift-invert eigensolve converged {len(exc.eigenvalues)} of {k} eigenvalues "
+                f"in {_CERTIFICATE_MAX_RESTARTS} restarts; uniqueness is not certified") from exc
     order = np.argsort(np.abs(values))[:k]
-    vector = np.zeros(n, dtype=complex)
-    vector[index] = vectors[:, order[0]]
-    return np.abs(values[order]), vector
-
-
-def _dense_null_candidate(liouv: Liouvillian) -> np.ndarray:
-    """The sparse shift-invert zero mode, refused unless the kernel is one-dimensional."""
-    magnitudes, vector = _zero_mode(liouv.matrix)
+    magnitudes = np.abs(values[order])
     if np.count_nonzero(magnitudes < SOLVER.unique_tol) >= 2:
         raise NonUniqueSteadyStateError(
             f"the two eigenvalues nearest zero have magnitudes {magnitudes[0]:.3e} "
             f"and {magnitudes[1]:.3e}, both below {SOLVER.unique_tol:.1e}; "
             "the steady state is not unique"
         )
-    # the zero mode of a certified one-dimensional kernel is the steady state
-    return unvectorize(vector)
+    vector = np.zeros(liouv.dim**2, dtype=complex)
+    vector[index] = vectors[:, order[0]]
+    return magnitudes, vector
 
 
 def expectation(rho: np.ndarray, obs: np.ndarray) -> float:

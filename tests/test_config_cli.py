@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import chainflux
 import chainflux.cli as cli
 import chainflux.lindblad as lindblad
 from chainflux.cli import main
@@ -611,6 +615,23 @@ def test_ci_smoke_configs_run(tmp_path, command, name):
     # the configs the CI workflow feeds to the installed chainflux script
     config = Path(__file__).parent / "configs" / name
     assert main([command, "--config", str(config), "--out", str(tmp_path / "out.csv")]) == 0
+
+
+def test_ci_unconverged_certificate_is_a_clean_solver_error(tmp_path):
+    # the CLI in a process of its own, as the CI step runs it: exit 1 with a
+    # message and no traceback
+    config = Path(__file__).parent / "configs" / "steady_n4_unconverged.json"
+    src = str(Path(chainflux.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "chainflux.cli", "steady", "--config", str(config),
+         "--out", str(tmp_path / "out.csv")],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ,
+             "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))})
+    assert done.returncode == 1
+    assert "chainflux: solver error: the shift-invert eigensolve converged" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_one_way_street_is_certified_at_seven_sites(tmp_path):

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+import time
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from chainflux.chain import ChainSpec, GradedProfile, build_hamiltonian, expand_
 from chainflux.cli import main
 from chainflux.config import STEADY_METHODS
 from chainflux.errors import (
+    NoConvergenceError,
     NonUniqueSteadyStateError,
     NumericalError,
     ShapeError,
@@ -241,6 +243,83 @@ def test_zero_mode_factorises_the_q0_block_of_a_magnetization_conserving_generat
     # S^z(ket) = S^z(bra) are factorised; twisted_xy factorises all 4^N
     dim = math.comb(2 * n_sites, n_sites) if isinstance(diss, TargetZ) else 4**n_sites
     assert shapes == [(dim, dim)]
+
+
+def _sliced_solve_block(matrix, shift):
+    """The solve block by slicing the full matrix: its q=0 rows and columns when
+    no stored entry couples two sectors of q = S^z(ket) - S^z(bra), else all of
+    it, minus shift*I."""
+    d = math.isqrt(matrix.shape[0])
+    ones = np.array([bin(i).count("1") for i in range(d)])
+    charge = np.add.outer(-ones, ones).ravel()  # index row + d*col has q = ones[row] - ones[col]
+    coo = matrix.tocoo()
+    index = np.arange(d * d)
+    if np.array_equal(charge[coo.row], charge[coo.col]):
+        index = np.flatnonzero(charge == 0)
+    block = matrix[index[:, None], index]
+    return block - shift * scipy.sparse.identity(index.size, format="csc"), index
+
+
+@pytest.mark.parametrize("n_sites", range(1, 7))
+@pytest.mark.parametrize("diss", [TargetZ(1.0, -1.0), TargetZ(-1.0, 1.0), TargetZ(0.0, 0.0),
+                                  TwistedXY(1.0, -1.0), TwistedXY(-1.0, 1.0), TwistedXY(0.0, 0.0)],
+                         ids=lambda diss: f"{diss.family}-{diss.drive:g}")
+def test_solve_block_is_the_q0_slice_of_the_matrix(n_sites, diss):
+    spec = ChainSpec(n_sites, alpha=0.9, delta=tuple(np.linspace(0.6, 1.4, n_sites - 1)),
+                     b_field=tuple(0.3 + 0.1 * j for j in range(n_sites)))
+    liouv = build_liouvillian(build_hamiltonian(spec), jump_operators(diss, n_sites))
+    for shift in (0.0, lindblad._CERTIFICATE_SHIFT):
+        block, index = liouv._assemble(shift, q0=True)
+        assert "matrix" not in vars(liouv)  # the solve block is assembled on its own
+        reference, reference_index = _sliced_solve_block(liouv.matrix, shift)
+        assert np.array_equal(index, reference_index)
+        assert block.format == "csc" and block.shape == reference.shape
+        assert np.array_equal(block.indptr, reference.indptr)
+        assert np.array_equal(block.indices, reference.indices)
+        assert block.data.tobytes() == reference.data.tobytes()
+        del liouv.matrix
+    # target_z conserves magnetization weakly; twisted_xy couples the sectors,
+    # except on one site at k = k_prime = 0, where the couplings of its two
+    # operator pairs cancel exactly
+    restricted = isinstance(diss, TargetZ) or (n_sites == 1 and diss.k == 0)
+    assert index.size == (math.comb(2 * n_sites, n_sites) if restricted else 4**n_sites)
+
+
+def test_steady_state_does_not_assemble_the_full_matrix():
+    spec = expand_graded(GradedProfile(1.0, 0.5), 4, b_field=0.3)
+    for diss in (TargetZ(0.5, -0.5), TwistedXY(0.5, -0.5)):
+        liouv = build_liouvillian(build_hamiltonian(spec), jump_operators(diss, 4))
+        steady_state(liouv)
+        assert "matrix" not in vars(liouv)
+
+
+# The borderline-style chain whose certificate stalls: graded 1 +- 0.5, field
+# 0.3, alpha 1e-4, gamma 1e-12. A dense eig gives |lambda_2| ~ 2e-13 at N=4,
+# so a refusal is the right answer; without the restart cap ARPACK ran 701
+# restarts (N=4) and 9,241 restarts in over a minute (N=6) before raising its
+# own error.
+def _stalling_chain(n_sites):
+    spec = expand_graded(GradedProfile(1.0, 0.5), n_sites, alpha=1e-4, b_field=0.3)
+    return build_liouvillian(build_hamiltonian(spec),
+                             jump_operators(TargetZ(0.5, -0.5, gamma=1e-12), n_sites))
+
+
+def test_unconverged_certificate_is_a_no_convergence_error():
+    # field 0.3, as in configs/steady_n4_unconverged.json: at zero field ARPACK
+    # also draws restart vectors from its own unseeded generator
+    liouv = _stalling_chain(4)
+    with pytest.raises(NoConvergenceError, match=r"^the shift-invert eigensolve converged 1 of 2 "
+                                                  r"eigenvalues in 50 restarts; uniqueness is not "
+                                                  r"certified$"):
+        steady_state(liouv)
+
+
+def test_unconverged_certificate_is_refused_promptly_at_six_sites():
+    liouv = _stalling_chain(6)
+    start = time.perf_counter()
+    with pytest.raises(NoConvergenceError, match="converged 0 of 2 eigenvalues in 50 restarts"):
+        steady_state(liouv)
+    assert time.perf_counter() - start < 5.0  # about 0.5 s; over a minute without the cap
 
 
 def test_vectorized_action_matches_direct_formula():
@@ -473,7 +552,7 @@ def test_dense_null_matches_full_eig_oracle():
         oracle, gap = _full_eig_oracle(liouv)
         rho = steady_state(liouv).rho
         assert np.abs(rho - oracle).max() < 1e-12, (trial, diss)
-        magnitudes, _ = _zero_mode(liouv.matrix)
+        magnitudes, _ = _zero_mode(liouv)
         assert magnitudes[0] < SolverConfig().unique_tol
         assert magnitudes[1] == pytest.approx(gap, rel=1e-8)
 
@@ -488,7 +567,7 @@ def test_target_z_block_solve_matches_full_eig_oracle(n_sites, b):
     oracle, gap = _full_eig_oracle(liouv)
     rho = steady_state(liouv).rho
     assert np.abs(rho - oracle).max() < 1e-12
-    magnitudes, vector = _zero_mode(liouv.matrix)
+    magnitudes, vector = _zero_mode(liouv)
     assert vector.shape == (4**n_sites,)
     assert magnitudes[0] < SolverConfig().unique_tol
     # on these chains the full spectrum's second magnitude lies in the q=0 sector
