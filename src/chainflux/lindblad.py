@@ -58,6 +58,13 @@ _CERTIFICATE_SEED = 20170315
 # (N=3..5, both families) need at most about 7; a near-degenerate kernel can
 # stall for thousands, which the cap turns into a prompt NoConvergenceError.
 _CERTIFICATE_MAX_RESTARTS = 50
+# Smallest certified gap |lambda_2| at which a bath-inverted partner gets its
+# state from the bordered solve. Its distance to the shift-invert route grows
+# up to about 2e-16 / |lambda_2| (graded N=3..5 chains, both families: 7e-12
+# at a gap of 4e-6, 5e-8 at 4e-10, 3e-7 at 8e-10), which near the 1e-8
+# conjugation and 1e-9 sign thresholds would flip checks; below this gap the
+# partner is eigensolved.
+_BORDERED_MIN_GAP = 1e-5
 # SuperLU options for the one factor of A - shift*I that ARPACK inverts: a
 # minimum-degree ordering of A^T + A with preference for diagonal pivots. On
 # the N=6 generators it cuts the fill of SuperLU's default (COLAMD ordering,
@@ -66,6 +73,14 @@ _CERTIFICATE_MAX_RESTARTS = 50
 # only its q=0 block (dimension 924 of 4096), which fills 0.09M.
 _FACTOR_OPTIONS = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.1,
                    "options": {"SymmetricMode": True}}
+# The bordered factor of a bath-inverted partner takes the diagonal pivot down
+# to 0.01 of its column. At 0.1 the unshifted N=6 target_z partner at drive
+# 0.8 filled 130K (its shift-invert factor: 99K), which raised the peak
+# memory of a certification. At 0.01 the partners of the default drive grid
+# fill 96K at N=6 and 1.60M-1.67M at N=7 (shift-invert: 94K-99K and
+# 1.67M-2.05M). The partner solve only runs at a certified gap of at least
+# _BORDERED_MIN_GAP, and its residual is checked.
+_BORDERED_FACTOR_OPTIONS = {**_FACTOR_OPTIONS, "diag_pivot_thresh": 0.01}
 
 
 @dataclass(frozen=True)
@@ -273,14 +288,17 @@ class Liouvillian:
         """Sparse column-stacked superoperator of shape (dim^2, dim^2)."""
         return self._assemble()[0]
 
-    def _assemble(self, shift: float = 0.0, q0: bool = False):
+    def _assemble(self, shift: float = 0.0, q0: bool = False, border: bool = False):
         """CSC matrix of I (x) K + conj(K) (x) I + sum_s conj(L_s) (x) L_s - shift*I,
         and the column-stacked indices of its rows and columns: the q=0 ones if
         ``q0`` and no entry couples two sectors of q = S^z(ket) - S^z(bra).
+        With ``border`` the trace row vec(I) / d is added to row 0, the index
+        of rho[0, 0], which is row 0 of the q=0 block too.
 
         One COO assembly from the nonzeros of the dense factors. Entries at one
-        position are summed in that term order, the shift last, and entries
-        that cancel to exact zero are dropped, as sparse ``kron`` sums would.
+        position are summed in that term order, the shift and the border last,
+        and entries that cancel to exact zero are dropped, as sparse ``kron``
+        sums would.
         """
         d, size = self.dim, self.dim**2
         k_eff = -1j * self.hamiltonian
@@ -304,6 +322,9 @@ class Liouvillian:
         if shift:
             keys.append(np.arange(size) * (size + 1))
             values.append(np.full(size, -shift, dtype=complex))
+        if border:
+            keys.append(ident * (d + 1) * size)  # (row 0, column of rho[i, i])
+            values.append(np.full(d, 1.0 / d, dtype=complex))
         key, position = np.unique(np.concatenate(keys), return_inverse=True)
         total = np.zeros(key.size, dtype=complex)
         np.add.at(total, position, np.concatenate(values))  # in term order, one by one
@@ -380,21 +401,39 @@ def require_max_sites(n_sites: int) -> None:
 
 
 @dataclass(frozen=True)
+class Certificate:
+    """Why a steady state is unique.
+
+    ``route`` is ``"shift_invert"`` when the state's own generator was
+    eigensolved, or ``"bath_inversion"`` when an exact product-unitary map
+    carries the generator onto one that was, whose certificate it then keeps.
+    ``magnitudes`` are the two eigenvalue magnitudes nearest zero, smallest
+    first, and ``q0`` tells whether they are those of the q=0 block.
+    """
+
+    route: str
+    magnitudes: tuple[float, float]
+    q0: bool
+
+
+@dataclass(frozen=True)
 class SteadyState:
     """A certified steady state and what its solve did.
 
     ``method`` names the solver (always ``METHOD``), ``residual`` is the
-    sup-norm of the generator applied to ``rho``, and ``wall_ms`` the wall
-    time of the solve through its validation.
+    sup-norm of the generator applied to ``rho``, ``wall_ms`` the wall time
+    of the solve through its validation, and ``certificate`` the evidence
+    that the kernel is one-dimensional.
     """
 
     rho: np.ndarray
     method: str
     residual: float
     wall_ms: float
+    certificate: Certificate
 
 
-def steady_state(liouv: Liouvillian) -> SteadyState:
+def steady_state(liouv: Liouvillian, certificate: Certificate | None = None) -> SteadyState:
     """Solve for the unique trace-one fixed point of the generator.
 
     One shift-invert eigensolve of the sparse superoperator, on one
@@ -404,9 +443,19 @@ def steady_state(liouv: Liouvillian) -> SteadyState:
     q = S^z(ket) - S^z(bra) = 0 block, which holds the steady state; the
     second magnitude a refusal reports is then that sector's gap. An
     eigensolve that does not converge within ``_CERTIFICATE_MAX_RESTARTS``
-    restarts raises NoConvergenceError. The zero mode is trace-normalized,
-    Hermitized and checked for its residual and validity. A generator on
-    more than ``SOLVER.max_sites`` qubits is refused before any work.
+    restarts raises NoConvergenceError.
+
+    ``certificate`` is that of a generator which an exact product-unitary
+    map carries onto this one, checked by the caller (``symmetry`` passes the
+    bath-inverted partner's). Both then share one spectrum, so this kernel is
+    one-dimensional too, and the zero mode comes from one bordered LU solve
+    in the same sector. If the certified gap is below ``_BORDERED_MIN_GAP``,
+    that factor is singular or the state fails a check below, the full
+    certificate runs instead.
+
+    The zero mode is trace-normalized, Hermitized and checked for its
+    residual and validity. A generator on more than ``SOLVER.max_sites``
+    qubits is refused before any work.
     """
     if not liouv.jumps:
         raise SpecError(
@@ -415,25 +464,38 @@ def steady_state(liouv: Liouvillian) -> SteadyState:
         )
     require_max_sites((liouv.dim - 1).bit_length())  # the qubits a dim x dim state needs
     start = time.perf_counter()
-    # the zero mode of a certified one-dimensional kernel is the steady state
-    rho = unvectorize(_zero_mode(liouv)[1])
+    if certificate is not None and certificate.magnitudes[1] >= _BORDERED_MIN_GAP:
+        try:
+            return _finalize(liouv, _bordered_zero_mode(liouv, certificate.q0),
+                             dataclasses.replace(certificate, route="bath_inversion"), start)
+        except (RuntimeError, NumericalError):  # SuperLU: "Factor is exactly singular"
+            pass
+    certificate, vector = _zero_mode(liouv)
+    return _finalize(liouv, vector, certificate, start)
+
+
+def _finalize(liouv: Liouvillian, vector: np.ndarray, certificate: Certificate,
+              start: float) -> SteadyState:
+    """The record of a zero mode, normalized, Hermitized and checked."""
+    rho = unvectorize(vector)
     tr = np.trace(rho)
     if abs(tr) < SOLVER.trace_floor:
         raise NumericalError(f"candidate steady state has near-zero trace {abs(tr):.3e}")
     rho = rho / tr
     rho = 0.5 * (rho + rho.conj().T)
     residual = liouvillian_residual(liouv, rho)
-    if residual > SOLVER.residual_tol:
+    if not residual <= SOLVER.residual_tol:  # a NaN residual is refused too
         raise NumericalError(
             f"steady-state residual {residual:.3e} exceeds {SOLVER.residual_tol:.1e}")
     validate_state(rho)
     wall_ms = round((time.perf_counter() - start) * 1e3, 3)
-    return SteadyState(rho, METHOD, residual, wall_ms)
+    return SteadyState(rho, METHOD, residual, wall_ms, certificate)
 
 
-def _zero_mode(liouv: Liouvillian) -> tuple[np.ndarray, np.ndarray]:
-    """Magnitudes of the two eigenvalues nearest the shift, smallest first,
-    and the eigenvector of the smallest one, as a full-length vector.
+def _zero_mode(liouv: Liouvillian) -> tuple[Certificate, np.ndarray]:
+    """The shift-invert certificate, with the magnitudes of the two
+    eigenvalues nearest the shift, and the eigenvector of the smallest one,
+    as a full-length vector.
 
     The eigensolve runs on the shifted q=0 block (then the second magnitude
     is that sector's gap) or else the whole shifted generator. Refused unless
@@ -469,7 +531,30 @@ def _zero_mode(liouv: Liouvillian) -> tuple[np.ndarray, np.ndarray]:
         )
     vector = np.zeros(liouv.dim**2, dtype=complex)
     vector[index] = vectors[:, order[0]]
-    return magnitudes, vector
+    certificate = Certificate("shift_invert", (float(magnitudes[0]), float(magnitudes[1])),
+                              index.size < vector.size)
+    return certificate, vector
+
+
+def _bordered_zero_mode(liouv: Liouvillian, q0: bool) -> np.ndarray:
+    """The trace-one zero mode of a generator A whose kernel is known to be
+    one-dimensional, from one LU solve, as a full-length vector.
+
+    Every generator preserves the trace, so w^T A = 0 for w = vec(I). Then
+    B = A + e_0 w^T / d, the trace row over d added to row 0 (rho[0, 0]), is
+    nonsingular exactly when the kernel is one-dimensional, and B x = e_0 / d
+    gives A x = 0 with tr x = 1. The 1/d keeps the border from outweighing
+    the diagonal in the pivot choice (N=7 target_z partner at drive 0.8: fill
+    1.67M, against 1.70M with unit weights). ``q0`` solves inside the q=0
+    block, as the certificate did. SuperLU raises RuntimeError on an exactly
+    singular B.
+    """
+    bordered, index = liouv._assemble(q0=q0, border=True)
+    rhs = np.zeros(index.size, dtype=complex)
+    rhs[0] = 1.0 / liouv.dim
+    vector = np.zeros(liouv.dim**2, dtype=complex)
+    vector[index] = scipy.sparse.linalg.splu(bordered, **_BORDERED_FACTOR_OPTIONS).solve(rhs)
+    return vector
 
 
 def expectation(rho: np.ndarray, obs: np.ndarray) -> float:
@@ -537,23 +622,30 @@ def currents_profile(rho: np.ndarray, spec: ChainSpec) -> CurrentsProfile:
 
 
 # Bound of the steady-state cache. A symmetry certification on the default
-# three-point drive grid needs 6 distinct states (a forward/inverted pair per
+# three-point drive grid needs 6 distinct records (a forward/inverted pair per
 # grid point, the bath's own drive among them), so 8 holds a whole one.
 _STEADY_CACHE_SIZE = 8
 
 
-def chain_steady_state(spec: ChainSpec, diss: DissipatorSpec) -> SteadyState:
-    """Hamiltonian + jumps + steady-state solve, memoised per (spec, bath).
+def chain_steady_state(spec: ChainSpec, diss: DissipatorSpec,
+                       certificate: Certificate | None = None) -> SteadyState:
+    """Hamiltonian + jumps + steady-state solve, memoised per (spec, bath,
+    certificate).
 
-    The returned record is shared between calls, so its ``rho`` is read-only.
+    ``certificate`` is passed on to ``steady_state``: the shift-invert
+    certificate of a generator that an exact map carries onto this one. It
+    is part of the cache key, so ``chain_steady_state(spec, diss)`` always
+    returns the record of the state's own shift-invert certificate. The
+    returned record is shared between calls, so its ``rho`` is read-only.
     """
     require_max_sites(spec.n_sites)  # before any operator is built
-    return _cached_chain_steady_state(spec, diss)
+    return _cached_chain_steady_state(spec, diss, certificate)
 
 
 @lru_cache(maxsize=_STEADY_CACHE_SIZE)
-def _cached_chain_steady_state(spec: ChainSpec, diss: DissipatorSpec) -> SteadyState:
+def _cached_chain_steady_state(spec: ChainSpec, diss: DissipatorSpec,
+                               certificate: Certificate | None) -> SteadyState:
     liouv = build_liouvillian(build_hamiltonian(spec), jump_operators(diss, spec.n_sites))
-    solved = steady_state(liouv)
+    solved = steady_state(liouv, certificate=certificate)
     solved.rho.flags.writeable = False
     return solved

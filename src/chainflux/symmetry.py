@@ -7,23 +7,31 @@ Each bath spec carries its own inversion, conjugation axis and antisymmetry
 rule. Conjugating the steady state with the matching unitary must reproduce
 the steady state of the inverted-bath system; the reports here measure how
 well that holds and what it implies for the currents.
+
+When the unitary carries the generator exactly onto its inverted partner's,
+the two share one spectrum, so the partner keeps the forward solve's
+uniqueness certificate and gets its own state from one bordered LU solve of
+its own generator; it is never derived from the forward state.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec
+from .chain import ChainSpec, build_hamiltonian
 from .errors import SpecError
 from .lindblad import (
     SOLVER,
     DissipatorSpec,
+    SteadyState,
     TargetZ,
     central,
     chain_steady_state,
     currents_profile,
+    jump_operators,
 )
 from .pauli import kron_chain, pauli
 
@@ -43,6 +51,52 @@ def conjugation_unitary(diss: DissipatorSpec, n_sites: int) -> np.ndarray:
     return kron_chain([pauli(diss.conjugation_axis)] * n_sites)
 
 
+def _conjugation(u: np.ndarray):
+    """X -> u X u^dag for a monomial u (one nonzero per column): a gather of
+    entries times unit phases, exact where a matrix product would round."""
+    rows = np.argmax(u != 0, axis=0)  # the row of each column's one nonzero
+    source = np.argsort(rows)  # the column whose nonzero sits in each row
+    phases = u[np.arange(u.shape[0]), source]
+    weights = np.multiply.outer(phases, phases.conj())
+    return lambda op: weights * op[source[:, None], source]
+
+
+def _phase_class(op: np.ndarray) -> bytes:
+    """The same bytes for exactly the operators c * op, c in {1, -1, i, -i},
+    of a nonzero op: op turned so that its first nonzero entry has a positive
+    real and a nonnegative imaginary part, with signed zeros cleared."""
+    pivot, turn = op.flat[np.argmax(op != 0)], 1
+    while not ((turn * pivot).real > 0 and (turn * pivot).imag >= 0):
+        turn *= -1j  # exact on every entry: it swaps and negates parts
+    return (turn * op + 0j).tobytes()
+
+
+def inversion_map_holds(spec: ChainSpec, diss: DissipatorSpec) -> bool:
+    """Whether the family's unitary u carries the generator exactly onto its
+    bath-inverted partner's: u H u^dag == H, and the nonzero u L_s u^dag match
+    the nonzero inverted-bath jumps one to one, each up to a factor +-1 or
+    +-i, which leaves its dissipator unchanged. Equality is bitwise; u's
+    entries are unit phases."""
+    conjugate = _conjugation(conjugation_unitary(diss, spec.n_sites))
+    h = build_hamiltonian(spec)
+    if not np.array_equal(conjugate(h), h):
+        return False
+    images = Counter(_phase_class(conjugate(jump))
+                     for jump in jump_operators(diss, spec.n_sites) if jump.any())
+    targets = Counter(_phase_class(jump)
+                      for jump in jump_operators(diss.inverted(), spec.n_sites) if jump.any())
+    return images == targets
+
+
+def _steady_pair(spec: ChainSpec, diss: DissipatorSpec) -> tuple[SteadyState, SteadyState]:
+    """Steady states of a chain and of its bath-inverted partner. The partner
+    keeps the forward certificate when the inversion map holds exactly, and
+    runs its own otherwise."""
+    forward = chain_steady_state(spec, diss)
+    certificate = forward.certificate if inversion_map_holds(spec, diss) else None
+    return forward, chain_steady_state(spec, diss.inverted(), certificate)
+
+
 @dataclass(frozen=True)
 class ConjugationReport:
     max_error: float
@@ -59,11 +113,9 @@ def check_conjugation_identity(spec: ChainSpec, diss: DissipatorSpec) -> Conjuga
     """
     _require_zero_field(spec, "the conjugation identity")
     diss.require_antisymmetric()
-    rho = chain_steady_state(spec, diss).rho
-    rho_inverted = chain_steady_state(spec, diss.inverted()).rho
-    u = conjugation_unitary(diss, spec.n_sites)
-    transported = u @ rho @ u.conj().T
-    max_error = float(np.abs(transported - rho_inverted).max())
+    forward, inverted = _steady_pair(spec, diss)
+    transported = _conjugation(conjugation_unitary(diss, spec.n_sites))(forward.rho)
+    max_error = float(np.abs(transported - inverted.rho).max())
     return ConjugationReport(
         max_error=max_error,
         passed=max_error <= SOLVER.conjugation_tol,
@@ -95,10 +147,7 @@ class ParityReport:
 
 def parity_report(spec: ChainSpec, diss: DissipatorSpec) -> ParityReport:
     diss.require_antisymmetric()
-    rho = chain_steady_state(spec, diss).rho
-    rho_inverted = chain_steady_state(spec, diss.inverted()).rho
-    forward = currents_profile(rho, spec)
-    inverted = currents_profile(rho_inverted, spec)
+    forward, inverted = (currents_profile(solved.rho, spec) for solved in _steady_pair(spec, diss))
     j_fwd, j_inv = central(forward.spin), central(inverted.spin)
     fx_fwd, fx_inv = central(forward.energy_xxz), central(inverted.energy_xxz)
     ft_fwd, ft_inv = central(forward.energy_total), central(inverted.energy_total)

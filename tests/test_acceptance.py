@@ -281,3 +281,20 @@ def test_criterion_10_method_oracle_equivalence():
         rho = chain_steady_state(spec, diss).rho
         gap = float(np.abs(rho - oracle).max())
         assert gap <= 1e-12, (spec, diss, gap)
+
+
+@pytest.mark.parametrize("n_sites", [2, 3, 4])
+@pytest.mark.parametrize("bath", [TargetZ(0.5, -0.5), TwistedXY(0.6, -0.6)])
+def test_bath_inversion_partner_matches_the_apply_eig_oracle(n_sites, bath):
+    # the partner route (the forward certificate, one bordered LU solve)
+    # against the same independent oracle as criterion 10
+    spec = ChainSpec(n_sites, alpha=1.0, delta=tuple(np.linspace(0.5, 1.5, n_sites - 1)),
+                     b_field=(0.0,) * n_sites)
+    forward = chain_steady_state(spec, bath)
+    liouv = build_liouvillian(build_hamiltonian(spec),
+                              jump_operators(bath.inverted(), n_sites))
+    partner = steady_state(liouv, certificate=forward.certificate)
+    assert partner.certificate.route == "bath_inversion"
+    oracle, second = _apply_eig_oracle(liouv)
+    assert second > SOLVER.unique_tol
+    assert float(np.abs(partner.rho - oracle).max()) <= 1e-12

@@ -1,11 +1,13 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 import chainflux
 import chainflux.cli as cli
@@ -350,6 +352,82 @@ def test_cmd_symmetry_method_column_is_the_resolved_solver(tmp_path, monkeypatch
     assert len(solves) == 6
 
 
+def _count_eigensolves(monkeypatch):
+    """Record the ARPACK calls, with an empty solve cache."""
+    lindblad._cached_chain_steady_state.cache_clear()
+    calls = []
+    eigs = scipy.sparse.linalg.eigs
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return eigs(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigs", counting)
+    return calls
+
+
+@pytest.mark.parametrize("bath, eigensolves", [
+    # one certificate per forward/inverted pair: three pairs, one pair
+    ({"family": "target_z", "f": 0.5}, 3),
+    ({"family": "twisted_xy", "k": 0.6}, 1),
+])
+def test_cmd_symmetry_certifies_each_pair_once(tmp_path, monkeypatch, bath, eigensolves):
+    calls = _count_eigensolves(monkeypatch)
+    config = _write_config(tmp_path, "c.json", {
+        "model": {**GRADED_MODEL, "n_sites": 4},
+        "bath": bath,
+        "output": {"path": str(tmp_path / "sym.csv")},
+    })
+    assert main(["symmetry", "--config", str(config)]) == 0
+    assert len(calls) == eigensolves
+    _, _, rows = _read_csv(tmp_path / "sym.csv")
+    assert all(r["passed"] == "true" for r in rows)
+
+
+def test_cmd_symmetry_table_does_not_depend_on_the_solve_history(tmp_path, monkeypatch):
+    model = {**GRADED_MODEL, "n_sites": 4}
+    out = tmp_path / "sym.csv"
+    symmetry = _write_config(tmp_path, "sym.json", {
+        "model": model, "bath": {"family": "target_z", "f": 0.5}, "output": {"path": str(out)}})
+    inverted = _write_config(tmp_path, "inv.json", {
+        "model": model, "bath": {"family": "target_z", "f_left": -0.5, "f_right": 0.5},
+        "output": {"path": str(tmp_path / "inv.csv")}})
+
+    def table():
+        header, columns, rows = _read_csv(out)
+        return header, columns, [{**row, "wall_ms": None} for row in rows]
+
+    lindblad._cached_chain_steady_state.cache_clear()
+    assert main(["symmetry", "--config", str(symmetry)]) == 0
+    cold = table()
+    lindblad._cached_chain_steady_state.cache_clear()
+    # the inverted bath's own shift-invert record is cached first
+    assert main(["steady", "--config", str(inverted)]) == 0
+    assert main(["symmetry", "--config", str(symmetry)]) == 0
+    assert table() == cold
+    # the cache holds that record and a whole certification (6 more records):
+    # a repeated run solves nothing
+    assert lindblad._cached_chain_steady_state.cache_info().currsize == 7
+    monkeypatch.setattr(lindblad, "steady_state", lambda *args, **kwargs: pytest.fail("solved"))
+    assert main(["symmetry", "--config", str(symmetry)]) == 0
+    assert table() == cold
+
+
+def test_cmd_symmetry_refuses_a_decoupled_chain_with_the_forward_certificate(tmp_path, capsys,
+                                                                          monkeypatch):
+    calls = _count_eigensolves(monkeypatch)
+    config = _write_config(tmp_path, "c.json", {
+        "model": {**GRADED_MODEL, "alpha": 0.0},
+        "bath": {"family": "target_z", "f": 0.5},
+        "output": {"path": str(tmp_path / "sym.csv")},
+    })
+    assert main(["symmetry", "--config", str(config)]) == 1
+    assert re.search(r"solver error: the two eigenvalues nearest zero have magnitudes \S+ "
+                     r"and \S+", capsys.readouterr().err)
+    assert len(calls) == 1  # the forward solve refused; no partner was solved
+    assert not (tmp_path / "sym.csv").exists()
+
+
 def test_cmd_symmetry_refuses_field(tmp_path):
     config = _write_config(tmp_path, "c.json", {
         "model": {**GRADED_MODEL, "b_uniform": 0.4},
@@ -608,6 +686,7 @@ def test_cli_unwritable_output_is_a_config_error(tmp_path, capsys, out):
                                            ("steady", "steady_n6_field.json"),
                                            ("symmetry", "symmetry_n3.json"),
                                            ("symmetry", "symmetry_n4_twisted.json"),
+                                           ("symmetry", "symmetry_n5_twisted.json"),
                                            ("symmetry", "symmetry_n7.json"),
                                            ("classical", "classical_n3.json"),
                                            ("classical", "classical_graded_n60.json")])
@@ -615,6 +694,13 @@ def test_ci_smoke_configs_run(tmp_path, command, name):
     # the configs the CI workflow feeds to the installed chainflux script
     config = Path(__file__).parent / "configs" / name
     assert main([command, "--config", str(config), "--out", str(tmp_path / "out.csv")]) == 0
+    if command == "symmetry":
+        # as the CI step checks: every check passed, and the independently
+        # solved partner matches the transported state to rounding level
+        _, _, rows = _read_csv(tmp_path / "out.csv")
+        assert rows and all(r["passed"] == "true" for r in rows)
+        conjugation = [float(r["error"]) for r in rows if r["check"] == "conjugation"]
+        assert len(conjugation) == 1 and conjugation[0] <= 1e-12
 
 
 def test_ci_unconverged_certificate_is_a_clean_solver_error(tmp_path):

@@ -387,9 +387,9 @@ def test_chain_steady_state_is_memoised_and_read_only(monkeypatch):
     _cached_chain_steady_state.cache_clear()
     solves = []
 
-    def counting(liouv):
+    def counting(liouv, **kwargs):
         solves.append(liouv)
-        return steady_state(liouv)
+        return steady_state(liouv, **kwargs)
 
     monkeypatch.setattr(lindblad, "steady_state", counting)
     spec = expand_graded(GradedProfile(1.0, 0.5), 3)
@@ -475,6 +475,106 @@ def test_steady_state_record_reports_the_solve():
     assert solved.wall_ms >= 0.0
 
 
+def _graded_pair(n_sites, family, b=0.0):
+    """The forward and the bath-inverted generator of a graded chain."""
+    spec = expand_graded(GradedProfile(1.0, 0.5), n_sites, b_field=b)
+    diss = TargetZ(0.5, -0.5) if family == "target_z" else TwistedXY(0.5, -0.5)
+    return tuple(build_liouvillian(build_hamiltonian(spec), jump_operators(bath, n_sites))
+                 for bath in (diss, diss.inverted()))
+
+
+@pytest.mark.parametrize("family, q0", [("target_z", True), ("twisted_xy", False)])
+def test_shift_invert_certificate_is_recorded(family, q0):
+    liouv, _ = _graded_pair(4, family)
+    certificate = steady_state(liouv).certificate
+    assert certificate == _zero_mode(liouv)[0]
+    assert certificate.route == "shift_invert"
+    assert certificate.q0 is q0
+    low, gap = certificate.magnitudes
+    assert type(low) is type(gap) is float
+    assert low < SolverConfig().unique_tol < gap
+
+
+@pytest.mark.parametrize("family", ["target_z", "twisted_xy"])
+def test_bath_inversion_partner_keeps_the_forward_certificate(monkeypatch, family):
+    forward, inverted = _graded_pair(4, family)
+    certificate = steady_state(forward).certificate
+    eigensolves = []
+    monkeypatch.setattr(scipy.sparse.linalg, "eigs",
+                        lambda *args, **kwargs: eigensolves.append(args) or pytest.fail("eigs"))
+    partner = steady_state(inverted, certificate=certificate)
+    assert not eigensolves
+    assert partner.certificate == dataclasses.replace(certificate, route="bath_inversion")
+    assert partner.residual == liouvillian_residual(inverted, partner.rho)
+    assert partner.residual <= SolverConfig().residual_tol
+    validate_state(partner.rho)
+
+
+@pytest.mark.parametrize("family", ["target_z", "twisted_xy"])
+def test_bordered_assembly_adds_the_trace_row_to_row_zero(family):
+    liouv, _ = _graded_pair(3, family)
+    for q0 in (False, True):
+        plain, index = liouv._assemble(q0=q0)
+        bordered, bordered_index = liouv._assemble(q0=q0, border=True)
+        assert np.array_equal(index, bordered_index)
+        trace_row = np.zeros(index.size)
+        trace_row[np.isin(index, np.arange(liouv.dim) * (liouv.dim + 1))] = 1.0
+        expected = plain.toarray()
+        expected[0] += trace_row / liouv.dim  # row 0 is rho[0, 0], in the q=0 block too
+        assert np.array_equal(bordered.toarray(), expected)
+        # the trace row is a left null vector, so the bordered solve has trace one
+        assert np.abs(trace_row @ plain.toarray()).max() < 1e-14
+
+
+def test_partner_falls_back_to_the_full_certificate_on_a_singular_factor(monkeypatch):
+    forward, inverted = _graded_pair(4, "twisted_xy")
+    certificate = steady_state(forward).certificate
+    full = steady_state(inverted)
+    calls = []
+    splu = scipy.sparse.linalg.splu
+
+    def singular_first(matrix, **kwargs):
+        calls.append(matrix.shape)
+        if len(calls) == 1:  # the bordered factor
+            raise RuntimeError("Factor is exactly singular")
+        return splu(matrix, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", singular_first)
+    fallback = steady_state(inverted, certificate=certificate)
+    assert len(calls) == 2
+    assert fallback.certificate == full.certificate
+    assert fallback.rho.tobytes() == full.rho.tobytes()
+
+
+def test_partner_falls_back_to_the_full_certificate_on_a_failed_residual(monkeypatch):
+    forward, inverted = _graded_pair(4, "target_z")
+    certificate = steady_state(forward).certificate
+    full = steady_state(inverted)
+    residuals = []
+
+    def failing_first(liouv, rho):
+        residuals.append(rho)
+        return 1.0 if len(residuals) == 1 else liouvillian_residual(liouv, rho)
+
+    monkeypatch.setattr(lindblad, "liouvillian_residual", failing_first)
+    fallback = steady_state(inverted, certificate=certificate)
+    assert len(residuals) == 2
+    assert fallback.certificate.route == "shift_invert"
+    assert fallback.rho.tobytes() == full.rho.tobytes()
+
+
+def test_standalone_solve_returns_the_shift_invert_record():
+    _cached_chain_steady_state.cache_clear()
+    spec = expand_graded(GradedProfile(1.0, 0.5), 3)
+    forward = chain_steady_state(spec, TargetZ(0.5, -0.5))
+    partner = chain_steady_state(spec, TargetZ(-0.5, 0.5), forward.certificate)
+    assert partner.certificate.route == "bath_inversion"
+    standalone = chain_steady_state(spec, TargetZ(-0.5, 0.5))
+    assert standalone is not partner
+    assert standalone.certificate.route == "shift_invert"
+    assert chain_steady_state(spec, TargetZ(-0.5, 0.5), forward.certificate) is partner
+
+
 def test_bath_family_facts():
     assert (TargetZ.family, TwistedXY.family) == ("target_z", "twisted_xy")
     assert "family" not in dataclasses.asdict(TargetZ(0.3, -0.3))
@@ -552,7 +652,7 @@ def test_dense_null_matches_full_eig_oracle():
         oracle, gap = _full_eig_oracle(liouv)
         rho = steady_state(liouv).rho
         assert np.abs(rho - oracle).max() < 1e-12, (trial, diss)
-        magnitudes, _ = _zero_mode(liouv)
+        magnitudes = _zero_mode(liouv)[0].magnitudes
         assert magnitudes[0] < SolverConfig().unique_tol
         assert magnitudes[1] == pytest.approx(gap, rel=1e-8)
 
@@ -567,7 +667,8 @@ def test_target_z_block_solve_matches_full_eig_oracle(n_sites, b):
     oracle, gap = _full_eig_oracle(liouv)
     rho = steady_state(liouv).rho
     assert np.abs(rho - oracle).max() < 1e-12
-    magnitudes, vector = _zero_mode(liouv)
+    certificate, vector = _zero_mode(liouv)
+    magnitudes = certificate.magnitudes
     assert vector.shape == (4**n_sites,)
     assert magnitudes[0] < SolverConfig().unique_tol
     # on these chains the full spectrum's second magnitude lies in the q=0 sector

@@ -1,23 +1,30 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chainflux.lindblad as lindblad
+
 from chainflux.chain import ChainSpec, GradedProfile, expand_graded
 from chainflux.errors import SpecError
+from chainflux.chain import build_hamiltonian
 from chainflux.lindblad import (
     SolverConfig,
     TargetZ,
     TwistedXY,
+    build_liouvillian,
     chain_steady_state,
     currents_profile,
     jump_operators,
+    steady_state,
 )
 from chainflux.pauli import embed, kron_chain, pauli
 from chainflux.symmetry import (
     check_conjugation_identity,
     conjugation_unitary,
     energy_current_direction_scan,
+    inversion_map_holds,
     parity_report,
 )
 
@@ -263,3 +270,103 @@ def test_parity_identities_hold_for_random_graded_chains(
     report = parity_report(spec, diss)
     assert report.f_even_error <= floor
     assert report.j_odd_error <= floor
+
+
+# --- the bath-inversion partner route ---------------------------------------------
+
+
+def _count_eigensolves(monkeypatch):
+    """Record the ARPACK calls, with an empty solve cache."""
+    lindblad._cached_chain_steady_state.cache_clear()
+    calls = []
+    eigs = scipy.sparse.linalg.eigs
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return eigs(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigs", counting)
+    return calls
+
+
+def _chain(n_sites, b=0.0):
+    return ChainSpec(n_sites, alpha=0.8, delta=tuple(np.linspace(0.8, 1.4, n_sites - 1)),
+                     b_field=(b,) * n_sites)
+
+
+@pytest.mark.parametrize("n_sites", [2, 3, 5])
+@pytest.mark.parametrize("bath", [TargetZ(0.0, 0.0), TwistedXY(0.0, 0.0)])
+def test_inversion_map_holds_exactly_without_field_and_asymmetry(n_sites, bath):
+    for drive in (0.5, 1.0, 0.0, -0.7):  # at drive 1 two jumps vanish and are skipped
+        assert inversion_map_holds(_chain(n_sites), bath.with_drive(drive))
+    # a field breaks u H u^dag == H; an asymmetric drive breaks the jump matching
+    assert not inversion_map_holds(_chain(n_sites, b=0.3), bath.with_drive(0.5))
+    asymmetric = TargetZ(0.5, -0.4) if isinstance(bath, TargetZ) else TwistedXY(0.5, -0.4)
+    assert not inversion_map_holds(_chain(n_sites), asymmetric)
+
+
+def test_equal_jumps_are_matched_one_to_one():
+    # on one site at f = 0 both baths give the same two jumps, so each image
+    # equals two partner jumps: the match pairs them off as a multiset
+    lindblad._cached_chain_steady_state.cache_clear()
+    spec, bath = _chain(1), TargetZ(0.0, 0.0)
+    assert bath.inverted() == bath
+    assert inversion_map_holds(spec, bath)
+    assert check_conjugation_identity(spec, bath).max_error <= 1e-12
+    forward = chain_steady_state(spec, bath)
+    partner = chain_steady_state(spec, bath, forward.certificate)
+    assert (forward.certificate.route, partner.certificate.route) == ("shift_invert",
+                                                                       "bath_inversion")
+
+
+class _XFlippedTwisted(TwistedXY):
+    conjugation_axis = "x"
+
+
+def test_inversion_map_needs_the_family_unitary():
+    # the x-flip does not carry the twisted_xy jumps onto their partners
+    assert not inversion_map_holds(_chain(3), _XFlippedTwisted(0.5, -0.5))
+
+
+def test_parity_report_with_a_field_runs_two_certificates(monkeypatch):
+    eigensolves = _count_eigensolves(monkeypatch)
+    spec = expand_graded(GradedProfile(1.0, 0.5), 3, b_field=0.3)
+    parity_report(spec, TargetZ(0.5, -0.5))
+    assert len(eigensolves) == 2
+    partner = chain_steady_state(spec, TargetZ(-0.5, 0.5))
+    assert partner.certificate.route == "shift_invert"
+
+
+@pytest.mark.parametrize("bath", [TargetZ(0.5, -0.5), TwistedXY(0.5, -0.5)])
+def test_certified_pair_runs_one_eigensolve(monkeypatch, bath):
+    eigensolves = _count_eigensolves(monkeypatch)
+    spec = expand_graded(GradedProfile(1.0, 0.5), 4)
+    assert check_conjugation_identity(spec, bath).max_error <= 1e-12
+    parity_report(spec, bath)
+    assert len(eigensolves) == 1
+
+
+def test_partner_with_a_small_gap_runs_its_own_certificate(monkeypatch):
+    # alpha 1e-5 leaves a certified gap of 4.4e-10: a bordered solve would
+    # differ from the shift-invert route by 4.7e-8, over the 1e-8 threshold
+    eigensolves = _count_eigensolves(monkeypatch)
+    spec = expand_graded(GradedProfile(1.0, 0.5), 3, alpha=1e-5)
+    bath = TwistedXY(0.5, -0.5)
+    assert inversion_map_holds(spec, bath)
+    report = check_conjugation_identity(spec, bath)
+    assert len(eigensolves) == 2
+    assert chain_steady_state(spec, bath).certificate.magnitudes[1] < 1e-9
+    assert report.passed and report.max_error <= 1e-12
+
+
+@pytest.mark.parametrize("n_sites, bath", [(5, TargetZ(0.5, -0.5)), (5, TwistedXY(0.5, -0.5)),
+                                           (6, TargetZ(0.5, -0.5))])
+def test_partner_route_matches_the_full_route(n_sites, bath):
+    spec = expand_graded(GradedProfile(1.0, 0.5), n_sites)
+    forward = chain_steady_state(spec, bath)
+    liouv = build_liouvillian(build_hamiltonian(spec), jump_operators(bath.inverted(), n_sites))
+    partner = steady_state(liouv, certificate=forward.certificate)
+    full = steady_state(liouv)
+    assert (partner.certificate.route, full.certificate.route) == ("bath_inversion",
+                                                                   "shift_invert")
+    assert np.abs(partner.rho - full.rho).max() <= 1e-12
