@@ -52,9 +52,18 @@ def _number(section: dict, key: str, name: str):
     value = section[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SpecError(f"'{name}.{key}' must be a number, got {value!r}")
-    if not math.isfinite(value):  # json.loads accepts NaN and Infinity
+    if not _finite(value):
         raise SpecError(f"'{name}.{key}' must be finite, got {value!r}")
     return value
+
+
+def _finite(value: int | float) -> bool:
+    """Whether a JSON number is a finite float: json.loads accepts NaN and
+    Infinity, and integers too large for a float."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
 def _numbers(section: dict, key: str, name: str) -> tuple[float, ...]:
@@ -64,7 +73,7 @@ def _numbers(section: dict, key: str, name: str) -> tuple[float, ...]:
     for value in values:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise SpecError(f"'{name}.{key}' entries must be numbers, got {value!r}")
-        if not math.isfinite(value):
+        if not _finite(value):
             raise SpecError(f"'{name}.{key}' entries must be finite, got {value!r}")
     return tuple(float(v) for v in values)
 
@@ -286,7 +295,7 @@ def load_config(path: str | Path, overrides: dict | None = None) -> ExperimentCo
         raise SpecError(f"cannot read config file {path}: {exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past Python's digit limit
         raise SpecError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise SpecError("config root must be a JSON object")

@@ -219,18 +219,19 @@ class TwistedXY:
 DissipatorSpec = TargetZ | TwistedXY
 
 
-def jump_operators(spec: DissipatorSpec, n_sites: int) -> list[np.ndarray]:
-    """Build the jump-operator list for a bath spec on an n_sites chain."""
+def jump_factors(spec: DissipatorSpec, n_sites: int) -> list[tuple[int, np.ndarray]]:
+    """The jump operators of a bath spec on an n_sites chain, each as its site
+    and its 2x2 factor there: ``jump_operators`` embeds them."""
     if n_sites < 1:
         raise SpecError(f"n_sites must be >= 1, got {n_sites}")
     if isinstance(spec, TargetZ):
         sp, sm = pauli("plus"), pauli("minus")
         half = 0.5 * spec.gamma
         return [
-            math.sqrt(half * (1 + spec.f_left)) * embed(sp, 1, n_sites),
-            math.sqrt(half * (1 - spec.f_left)) * embed(sm, 1, n_sites),
-            math.sqrt(half * (1 + spec.f_right)) * embed(sp, n_sites, n_sites),
-            math.sqrt(half * (1 - spec.f_right)) * embed(sm, n_sites, n_sites),
+            (1, math.sqrt(half * (1 + spec.f_left)) * sp),
+            (1, math.sqrt(half * (1 - spec.f_left)) * sm),
+            (n_sites, math.sqrt(half * (1 + spec.f_right)) * sp),
+            (n_sites, math.sqrt(half * (1 - spec.f_right)) * sm),
         ]
     if isinstance(spec, TwistedXY):
         sx, sy, sz = pauli("x"), pauli("y"), pauli("z")
@@ -240,13 +241,20 @@ def jump_operators(spec: DissipatorSpec, n_sites: int) -> list[np.ndarray]:
         v2 = math.sqrt((1 - spec.k_prime) / 2) * (sy - 1j * sz)
         w_site, v_site = (n_sites, 1) if spec.swapped else (1, n_sites)
         scale = math.sqrt(spec.rate)
-        return [
-            scale * embed(w1, w_site, n_sites),
-            scale * embed(w2, w_site, n_sites),
-            scale * embed(v1, v_site, n_sites),
-            scale * embed(v2, v_site, n_sites),
-        ]
+        return [(w_site, scale * w1), (w_site, scale * w2),
+                (v_site, scale * v1), (v_site, scale * v2)]
     raise SpecError(f"unknown dissipator spec {type(spec).__name__}")
+
+
+def jump_operators(spec: DissipatorSpec, n_sites: int) -> list[np.ndarray]:
+    """Build the jump-operator list for a bath spec on an n_sites chain."""
+    return [embed(factor, site, n_sites) for site, factor in jump_factors(spec, n_sites)]
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """Mark an array that is shared between calls (cached) read-only."""
+    array.flags.writeable = False
+    return array
 
 
 def vectorize(rho: np.ndarray) -> np.ndarray:
@@ -295,55 +303,121 @@ class Liouvillian:
         With ``border`` the trace row vec(I) / d is added to row 0, the index
         of rho[0, 0], which is row 0 of the q=0 block too.
 
-        One COO assembly from the nonzeros of the dense factors. Entries at one
-        position are summed in that term order, the shift and the border last,
-        and entries that cancel to exact zero are dropped, as sparse ``kron``
-        sums would.
+        One COO assembly from the nonzeros of the dense factors. Where each
+        term goes is ``_pattern``'s, shared by every generator with the same
+        nonzero positions. Entries at one position are summed in term order,
+        the shift and the border last, and entries that cancel to exact zero
+        are dropped, as sparse ``kron`` sums would; only then is the q=0
+        restriction decided.
         """
-        d, size = self.dim, self.dim**2
+        d = self.dim
         k_eff = -1j * self.hamiltonian
         for _, ldl in self._pairs:
             k_eff = k_eff - 0.5 * ldl
-        k_row, k_col = np.nonzero(k_eff)
-        k_val = k_eff[k_row, k_col]
-        ident = np.arange(d)  # the identity's nonzeros sit at (i, i)
-
-        def kron_key(row_a, col_a, row_b, col_b):
-            # position of (A (x) B)[(a b), (a' b')] as column-major key col * size + row
-            return ((d * col_a[:, None] + col_b) * size + d * row_a[:, None] + row_b).ravel()
-
-        keys = [kron_key(ident, ident, k_row, k_col), kron_key(k_row, k_col, ident, ident)]
+        k_flat = np.flatnonzero(k_eff)
+        k_val = k_eff.ravel()[k_flat]
         values = [np.tile(k_val, d), np.repeat(k_val.conj(), d)]
+        jump_flats = []
         for L, _ in self._pairs:
-            row, col = np.nonzero(L)
-            val = L[row, col]
-            keys.append(kron_key(row, col, row, col))
+            flat = np.flatnonzero(L)
+            val = L.ravel()[flat]
+            jump_flats.append(flat.tobytes())
             values.append(np.multiply.outer(val.conj(), val).ravel())
         if shift:
-            keys.append(np.arange(size) * (size + 1))
-            values.append(np.full(size, -shift, dtype=complex))
+            values.append(np.full(d * d, -shift, dtype=complex))
         if border:
-            keys.append(ident * (d + 1) * size)  # (row 0, column of rho[i, i])
             values.append(np.full(d, 1.0 / d, dtype=complex))
-        key, position = np.unique(np.concatenate(keys), return_inverse=True)
-        total = np.zeros(key.size, dtype=complex)
-        np.add.at(total, position, np.concatenate(values))  # in term order, one by one
+        terms, position, indices, indptr, index = _pattern(
+            d, k_flat.tobytes(), tuple(jump_flats), bool(shift), border, q0)
+        values = np.concatenate(values)
+        if terms is not None:  # only these terms land in the q=0 block
+            values = values[terms]
+        # bincount adds in term order, one by one, as np.add.at would
+        total = np.empty(indices.size, dtype=complex)
+        total.real = np.bincount(position, values.real, indices.size)
+        total.imag = np.bincount(position, values.imag, indices.size)
         keep = total != 0
-        key, total = key[keep], total[keep]
-        row, col, index = key % size, key // size, np.arange(size)
-        ones = sum((ident >> bit) & 1 for bit in range(d.bit_length()))  # flipped spins
-        charge = np.tile(ones, d) - np.repeat(ones, d)  # q of each column-stacked index
-        if q0 and np.array_equal(charge[row], charge[col]):
-            # a weak U(1) symmetry (target_z, with or without a field): the
-            # steady state lies in q=0, and the kernel is one-dimensional
-            # exactly when the q=0 block's kernel is, since the U(1) action
-            # maps the stationary states onto themselves (Albert & Jiang,
-            # PRA 89, 022118 (2014))
-            inside, index = charge[col] == 0, np.flatnonzero(charge == 0)
-            rank = np.cumsum(charge == 0) - 1  # block position of each q=0 index
-            row, col, total = rank[row[inside]], rank[col[inside]], total[inside]
-        indptr = np.searchsorted(col, np.arange(index.size + 1))
-        return scipy.sparse.csc_matrix((total, row, indptr), shape=(index.size,) * 2), index
+        if not keep.all():  # a sum cancelled: lay out the remaining entries afresh
+            kept = np.flatnonzero(keep)
+            row, col = index[indices[kept]], np.repeat(index, np.diff(indptr))[kept]
+            take, indices, indptr, index = _layout(col * d * d + row, d, q0)
+            total = total[kept][take]
+        return scipy.sparse.csc_matrix((total, indices, indptr),
+                                       shape=(index.size,) * 2), index
+
+
+# Bound of the assembly-pattern cache. A symmetry certification needs two
+# patterns per chain shape and family (the shifted forward block and the
+# bordered partner block); one holds 0.1 MB at N=6 and 0.45 MB at N=7 for
+# target_z (the q=0 block's terms only), 0.7 MB and 2.9 MB for twisted_xy.
+_PATTERN_CACHE_SIZE = 8
+
+
+@lru_cache(maxsize=_PATTERN_CACHE_SIZE)
+def _pattern(d: int, k_flat: bytes, jump_flats: tuple[bytes, ...], shift: bool,
+             border: bool, q0: bool):
+    """Where each term of a dim-d generator goes, given the row-major flat
+    positions (intp bytes) of the nonzeros of its K_eff and of each jump:
+    the terms that land in the matrix (None for all of them), the stored
+    entry of each such term in CSC order, and the matrix's row indices,
+    column pointers and the column-stacked index of each row. When no entry
+    couples two sectors of q, none does once exact zeros are dropped either,
+    so that q=0 restriction is decided here and the other sectors' terms are
+    left out. It depends on those positions and the three flags only, never
+    on the values; its arrays are shared, so read-only, and int32 where
+    scipy would pick it."""
+    size = d * d
+    ident = np.arange(d)  # the identity's nonzeros sit at (i, i)
+
+    def kron_key(row_a, col_a, row_b, col_b):
+        # position of (A (x) B)[(a b), (a' b')] as column-major key col * size + row
+        return ((d * col_a[:, None] + col_b) * size + d * row_a[:, None] + row_b).ravel()
+
+    k_row, k_col = np.divmod(np.frombuffer(k_flat, dtype=np.intp), d)
+    keys = [kron_key(ident, ident, k_row, k_col), kron_key(k_row, k_col, ident, ident)]
+    for flat in jump_flats:
+        row, col = np.divmod(np.frombuffer(flat, dtype=np.intp), d)
+        keys.append(kron_key(row, col, row, col))
+    if shift:
+        keys.append(np.arange(size) * (size + 1))
+    if border:
+        keys.append(ident * (d + 1) * size)  # (row 0, column of rho[i, i])
+    key, position = np.unique(np.concatenate(keys), return_inverse=True)
+    take, indices, indptr, index = _layout(key, d, q0)
+    terms = None
+    if not isinstance(take, slice):  # restricted: keep the terms of the q=0 entries
+        entry = np.full(key.size, -1)
+        entry[take] = np.arange(take.size)
+        terms = _read_only(np.flatnonzero(entry[position] >= 0).astype(np.int32))
+        position = entry[position[terms]]
+    return (terms, _read_only(position.astype(np.int32)), _read_only(indices),
+            _read_only(indptr), _read_only(index))
+
+
+def _layout(key: np.ndarray, d: int, q0: bool):
+    """The CSC layout of a matrix with entries at the sorted column-major
+    positions ``key`` of d^2 x d^2: which of them it stores, their row
+    indices, its column pointers and the column-stacked index of each of its
+    rows. With ``q0`` and no entry coupling two sectors of q, only the q=0
+    rows and columns are kept."""
+    size = d * d
+    row, col, index, take = key % size, key // size, np.arange(size), slice(None)
+    ident = np.arange(d)
+    ones = sum((ident >> bit) & 1 for bit in range(d.bit_length()))  # flipped spins
+    charge = np.tile(ones, d) - np.repeat(ones, d)  # q of each column-stacked index
+    if q0 and np.array_equal(charge[row], charge[col]):
+        # a weak U(1) symmetry (target_z, with or without a field): the
+        # steady state lies in q=0, and the kernel is one-dimensional
+        # exactly when the q=0 block's kernel is, since the U(1) action
+        # maps the stationary states onto themselves (Albert & Jiang,
+        # PRA 89, 022118 (2014))
+        take, index = np.flatnonzero(charge[col] == 0), np.flatnonzero(charge == 0)
+        rank = np.cumsum(charge == 0) - 1  # block position of each q=0 index
+        row, col = rank[row[take]], rank[col[take]]
+    indptr = np.searchsorted(col, np.arange(index.size + 1))
+    # int32 is the index type scipy picks at these sizes, so a csc_matrix
+    # takes the shared arrays without a copy
+    return take, row.astype(np.int32), indptr.astype(np.int32), index
 
 
 def build_liouvillian(hamiltonian: np.ndarray, jumps: Sequence[np.ndarray]) -> Liouvillian:
@@ -598,18 +672,14 @@ class CurrentsProfile:
 
 
 def currents_profile(rho: np.ndarray, spec: ChainSpec) -> CurrentsProfile:
-    n = spec.n_sites
-    spin = tuple(expectation(rho, spin_current_op(spec, j)) for j in range(1, n))
-    energy_xxz = tuple(
-        expectation(rho, energy_current_xxz_op(spec, j)) for j in range(2, n)
-    )
+    spin_ops, energy_xxz_ops, energy_field_ops = _chain_operators(spec).currents
+    spin = tuple(expectation(rho, op) for op in spin_ops)
+    energy_xxz = tuple(expectation(rho, op) for op in energy_xxz_ops)
     # a site without field carries no field current; adding 0.0 there keeps a
     # zero total +0.0, as the expectation value of the zero operator was
     energy_total = tuple(
-        exchange + (
-            expectation(rho, energy_current_field_op(spec, j)) if spec.b_field[j - 1] else 0.0
-        )
-        for j, exchange in zip(range(2, n), energy_xxz)
+        exchange + (expectation(rho, op) if op is not None else 0.0)
+        for op, exchange in zip(energy_field_ops, energy_xxz)
     )
     return CurrentsProfile(
         spin=spin,
@@ -619,6 +689,39 @@ def currents_profile(rho: np.ndarray, spec: ChainSpec) -> CurrentsProfile:
         energy_xxz_spread=_spread(energy_xxz),
         energy_total_spread=_spread(energy_total),
     )
+
+
+# Bound of the chain-operator cache. A symmetry certification reads one chain;
+# a sweep over a chain parameter reads each chain twice (solve, then
+# currents), at most ``workers`` at a time. At N=7 one entry holds up to
+# 4.5 MB (the Hamiltonian and 16 current operators of 256 KB each).
+_CHAIN_CACHE_SIZE = 2
+
+
+class _ChainOperators:
+    """A chain's Hamiltonian and, once asked for, its current operators, each
+    built once. They are shared between calls, so read-only."""
+
+    def __init__(self, spec: ChainSpec):
+        self.spec = spec
+        self.hamiltonian = _read_only(build_hamiltonian(spec))
+
+    @cached_property
+    def currents(self) -> tuple[tuple, tuple, tuple]:
+        """spin_current_op on bonds 1..N-1; energy_current_xxz_op and
+        energy_current_field_op on sites 2..N-1, the latter None where the
+        field is zero."""
+        spec, n = self.spec, self.spec.n_sites
+        spin = tuple(_read_only(spin_current_op(spec, j)) for j in range(1, n))
+        energy_xxz = tuple(_read_only(energy_current_xxz_op(spec, j)) for j in range(2, n))
+        energy_field = tuple(_read_only(energy_current_field_op(spec, j))
+                             if spec.b_field[j - 1] else None for j in range(2, n))
+        return spin, energy_xxz, energy_field
+
+
+@lru_cache(maxsize=_CHAIN_CACHE_SIZE)
+def _chain_operators(spec: ChainSpec) -> _ChainOperators:
+    return _ChainOperators(spec)
 
 
 # Bound of the steady-state cache. A symmetry certification on the default
@@ -645,7 +748,8 @@ def chain_steady_state(spec: ChainSpec, diss: DissipatorSpec,
 @lru_cache(maxsize=_STEADY_CACHE_SIZE)
 def _cached_chain_steady_state(spec: ChainSpec, diss: DissipatorSpec,
                                certificate: Certificate | None) -> SteadyState:
-    liouv = build_liouvillian(build_hamiltonian(spec), jump_operators(diss, spec.n_sites))
+    liouv = build_liouvillian(_chain_operators(spec).hamiltonian,
+                              jump_operators(diss, spec.n_sites))
     solved = steady_state(liouv, certificate=certificate)
-    solved.rho.flags.writeable = False
+    _read_only(solved.rho)
     return solved

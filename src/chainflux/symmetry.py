@@ -18,10 +18,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .chain import ChainSpec, build_hamiltonian
+from .chain import ChainSpec, _string
 from .errors import SpecError
 from .lindblad import (
     SOLVER,
@@ -31,7 +32,7 @@ from .lindblad import (
     central,
     chain_steady_state,
     currents_profile,
-    jump_operators,
+    jump_factors,
 )
 from .pauli import kron_chain, pauli
 
@@ -75,17 +76,36 @@ def inversion_map_holds(spec: ChainSpec, diss: DissipatorSpec) -> bool:
     """Whether the family's unitary u carries the generator exactly onto its
     bath-inverted partner's: u H u^dag == H, and the nonzero u L_s u^dag match
     the nonzero inverted-bath jumps one to one, each up to a factor +-1 or
-    +-i, which leaves its dissipator unchanged. Equality is bitwise; u's
-    entries are unit phases."""
-    conjugate = _conjugation(conjugation_unitary(diss, spec.n_sites))
-    h = build_hamiltonian(spec)
-    if not np.array_equal(conjugate(h), h):
+    +-i, which leaves its dissipator unchanged.
+
+    u is the same 2x2 unitary p on every site, so this is checked per local
+    term, bitwise: p (x) p leaves both bond strings XX+YY and ZZ unchanged
+    (then u H u^dag == H for any alpha and delta), p leaves Z unchanged if
+    any field is nonzero, and the jumps' 2x2 factors match site by site. No
+    2^N x 2^N operator is built. u's entries are unit phases, so each
+    conjugation is exact."""
+    p = pauli(diss.conjugation_axis)
+    if spec.delta:  # a chain of two or more sites has bond terms
+        conjugate_bond = _conjugation(kron_chain([p, p]))
+        if not all(np.array_equal(conjugate_bond(string), string)
+                   for string in (_string("xx") + _string("yy"), _string("zz"))):
+            return False
+    conjugate = _conjugation(p)
+    z = pauli("z")
+    if any(b != 0.0 for b in spec.b_field) and not np.array_equal(conjugate(z), z):
         return False
-    images = Counter(_phase_class(conjugate(jump))
-                     for jump in jump_operators(diss, spec.n_sites) if jump.any())
-    targets = Counter(_phase_class(jump)
-                      for jump in jump_operators(diss.inverted(), spec.n_sites) if jump.any())
+    images = Counter((site, _phase_class(conjugate(factor)))
+                     for site, factor in jump_factors(diss, spec.n_sites) if factor.any())
+    targets = Counter((site, _phase_class(factor))
+                      for site, factor in jump_factors(diss.inverted(), spec.n_sites)
+                      if factor.any())
     return images == targets
+
+
+# The map verdicts of recent pairs, so that a certification checks each
+# distinct pair once: a default target_z one asks 5 times for 3 pairs (the
+# conjugation and parity rows at the bath's drive, and the scan's 3 drives).
+_map_holds = lru_cache(maxsize=8)(inversion_map_holds)
 
 
 def _steady_pair(spec: ChainSpec, diss: DissipatorSpec) -> tuple[SteadyState, SteadyState]:
@@ -93,7 +113,7 @@ def _steady_pair(spec: ChainSpec, diss: DissipatorSpec) -> tuple[SteadyState, St
     keeps the forward certificate when the inversion map holds exactly, and
     runs its own otherwise."""
     forward = chain_steady_state(spec, diss)
-    certificate = forward.certificate if inversion_map_holds(spec, diss) else None
+    certificate = forward.certificate if _map_holds(spec, diss) else None
     return forward, chain_steady_state(spec, diss.inverted(), certificate)
 
 

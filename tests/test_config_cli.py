@@ -12,6 +12,7 @@ import scipy.sparse.linalg
 import chainflux
 import chainflux.cli as cli
 import chainflux.lindblad as lindblad
+import chainflux.symmetry as symmetry
 from chainflux.cli import main
 from chainflux.config import apply_sweep_value, load_config
 from chainflux.errors import SpecError
@@ -140,6 +141,71 @@ def test_cli_malformed_section_is_a_config_error(tmp_path, capsys, command, payl
     assert main([command, "--config", str(config), "--out", str(out)]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+# An integer past the float range: json.loads reads it as a Python int, on
+# which math.isfinite raises OverflowError.
+_OVERSIZE = 10**400
+_SPIN_MODEL = {"n_sites": 3, "alpha": 1.0, "delta_mean": 1.0, "delta_step": 0.5}
+_EXPLICIT_MODEL = {"n_sites": 3, "alpha": 1.0, "delta": [1.0, 1.0], "b_field": [0.0, 0.0, 0.0]}
+_TARGET_Z = {"family": "target_z", "f_left": 0.5, "f_right": -0.5, "gamma": 1.0}
+_TWISTED = {"family": "twisted_xy", "k": 0.5, "k_prime": -0.5, "rate": 1.0}
+_CLASSICAL = {"c": [1.0, 2.0, 3.0], "alpha_exp": 0.5, "t_left": 2.0, "t_right": 1.0}
+_LINEARIZED = {"c": [1.0, 2.0, 3.0], "base_t": 1.0, "a_left": 1.0, "a_right": -1.0,
+               "eps": 0.1}
+
+
+_OVERSIZE_CASES = [
+    ("steady", {"model": _SPIN_MODEL, "bath": _TARGET_Z}, "model.alpha"),
+    ("steady", {"model": _SPIN_MODEL, "bath": _TARGET_Z}, "model.delta_mean"),
+    ("steady", {"model": _SPIN_MODEL, "bath": _TARGET_Z}, "model.delta_step"),
+    ("steady", {"model": {**_SPIN_MODEL, "b_uniform": 0.0}, "bath": _TARGET_Z}, "model.b_uniform"),
+    ("steady", {"model": _EXPLICIT_MODEL, "bath": _TARGET_Z}, "model.delta"),
+    ("steady", {"model": _EXPLICIT_MODEL, "bath": _TARGET_Z}, "model.b_field"),
+    ("steady", {"model": _SPIN_MODEL, "bath": {"family": "target_z", "f": 0.5}}, "bath.f"),
+    ("steady", {"model": _SPIN_MODEL, "bath": _TARGET_Z}, "bath.f_left"),
+    ("steady", {"model": _SPIN_MODEL, "bath": _TARGET_Z}, "bath.f_right"),
+    ("steady", {"model": _SPIN_MODEL, "bath": _TARGET_Z}, "bath.gamma"),
+    ("steady", {"model": _SPIN_MODEL, "bath": _TWISTED}, "bath.k"),
+    ("steady", {"model": _SPIN_MODEL, "bath": _TWISTED}, "bath.k_prime"),
+    ("steady", {"model": _SPIN_MODEL, "bath": _TWISTED}, "bath.rate"),
+    ("sweep", {"model": _SPIN_MODEL, "bath": _TARGET_Z,
+               "sweep": {"parameter": "f", "grid": [0.5, 0.5]}}, "sweep.grid"),
+    ("classical", {"classical": _CLASSICAL}, "classical.c"),
+    ("classical", {"classical": _CLASSICAL}, "classical.alpha_exp"),
+    ("classical", {"classical": _CLASSICAL}, "classical.t_left"),
+    ("classical", {"classical": _CLASSICAL}, "classical.t_right"),
+    ("classical", {"classical": _LINEARIZED}, "classical.base_t"),
+    ("classical", {"classical": _LINEARIZED}, "classical.a_left"),
+    ("classical", {"classical": _LINEARIZED}, "classical.a_right"),
+    ("classical", {"classical": _LINEARIZED}, "classical.eps"),
+]
+
+
+@pytest.mark.parametrize("command, payload, path", _OVERSIZE_CASES,
+                         ids=[path for _, _, path in _OVERSIZE_CASES])
+def test_oversize_number_is_a_config_error(tmp_path, capsys, command, payload, path):
+    name, key = path.split(".")
+    section = dict(payload[name])
+    listed = isinstance(section[key], list)
+    section[key] = [*section[key][:-1], _OVERSIZE] if listed else _OVERSIZE
+    config = _write_config(tmp_path, "c.json", {**payload, name: section})
+    out = tmp_path / "never.csv"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 2
+    entries = " entries" if listed else ""
+    assert f"config error: '{path}'{entries} must be finite, got 1000" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_integer_past_the_digit_limit_is_a_config_error(tmp_path, capsys):
+    # Python refuses to read an integer of more than 4300 digits from a string
+    config = tmp_path / "c.json"
+    config.write_text('{"model": {"n_sites": 3, "alpha": ' + "1" * 5000 +
+                      ', "delta_mean": 1.0, "delta_step": 0.5}, "bath": {"family": "target_z", '
+                      '"f": 0.5}}')
+    assert main(["steady", "--config", str(config), "--out", str(tmp_path / "never.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: config file" in err and "is not valid JSON: Exceeds the limit" in err
 
 
 def test_load_config_rejects_unknown_sweep_parameter(tmp_path):
@@ -411,6 +477,91 @@ def test_cmd_symmetry_table_does_not_depend_on_the_solve_history(tmp_path, monke
     monkeypatch.setattr(lindblad, "steady_state", lambda *args, **kwargs: pytest.fail("solved"))
     assert main(["symmetry", "--config", str(symmetry)]) == 0
     assert table() == cold
+
+
+def _clear_caches():
+    """Empty the solve, chain-operator, assembly-pattern and map-verdict caches."""
+    lindblad._cached_chain_steady_state.cache_clear()
+    lindblad._chain_operators.cache_clear()
+    lindblad._pattern.cache_clear()
+    symmetry._map_holds.cache_clear()
+
+
+def test_cmd_symmetry_builds_each_operator_once_and_checks_each_pair_once(tmp_path,
+                                                                          monkeypatch):
+    _clear_caches()
+    built = {name: [] for name in ("build_hamiltonian", "spin_current_op",
+                                   "energy_current_xxz_op")}
+    for name, calls in built.items():
+        original = getattr(lindblad, name)
+        monkeypatch.setattr(lindblad, name,
+                            lambda *args, calls=calls, original=original:
+                            calls.append(args) or original(*args))
+    config = _write_config(tmp_path, "c.json", {
+        "model": {**GRADED_MODEL, "n_sites": 4}, "bath": {"family": "target_z", "f": 0.5},
+        "output": {"path": str(tmp_path / "out.csv")}})
+    assert main(["symmetry", "--config", str(config)]) == 0
+    # six solves and four current profiles of one chain: one Hamiltonian, and
+    # each current operator once (3 bonds, 2 interior sites)
+    assert {name: len(calls) for name, calls in built.items()} == {
+        "build_hamiltonian": 1, "spin_current_op": 3, "energy_current_xxz_op": 2}
+    # the map is asked for 5 times (conjugation, parity and the scan's three
+    # drives, one of them the bath's own) and checked for the 3 distinct pairs
+    info = symmetry._map_holds.cache_info()
+    assert (info.misses, info.hits) == (3, 2)
+
+
+def test_cmd_symmetry_table_does_not_depend_on_the_pattern_and_operator_caches(tmp_path):
+    model = {**GRADED_MODEL, "n_sites": 4}
+    out = tmp_path / "sym.csv"
+    config = _write_config(tmp_path, "sym.json", {
+        "model": model, "bath": {"family": "target_z", "f": 0.5, "gamma": 0.9}})
+    _clear_caches()
+    cold = _table_modulo_timing("symmetry", config, out, 1)
+    # warm both caches with other chains and families: the same shape with
+    # other values, other sizes, a field, twisted_xy, and this chain itself
+    # under another bath; then solve again from the warm caches
+    for command, payload in (
+        ("symmetry", {"model": {**model, "delta_mean": 1.2}, "bath": {"family": "target_z",
+                                                                     "f": 0.3, "gamma": 1.4}}),
+        ("steady", {"model": {**model, "b_uniform": 0.3}, "bath": {"family": "target_z",
+                                                                  "f": 0.5}}),
+        ("symmetry", {"model": {**model, "n_sites": 3}, "bath": {"family": "twisted_xy",
+                                                                "k": 0.5}}),
+        ("symmetry", {"model": {**model, "n_sites": 5}, "bath": {"family": "target_z",
+                                                                "f": 0.2}}),
+        ("steady", {"model": model, "bath": {"family": "twisted_xy", "k": 0.4}}),
+    ):
+        warm = _write_config(tmp_path, "warm.json", payload)
+        assert main([command, "--config", str(warm), "--out", str(tmp_path / "warm.csv")]) == 0
+    lindblad._cached_chain_steady_state.cache_clear()
+    patterns, operators = lindblad._pattern.cache_info(), lindblad._chain_operators.cache_info()
+    assert _table_modulo_timing("symmetry", config, out, 1) == cold
+    # the second run reused patterns and this chain's operators
+    assert lindblad._pattern.cache_info().hits > patterns.hits
+    assert lindblad._chain_operators.cache_info().hits > operators.hits
+
+
+def test_cmd_sweep_in_threads_from_cold_caches_equals_one_thread(tmp_path):
+    # the threads race to build one pattern entry (every drive of the grid has
+    # the same nonzero positions) and one chain's operators; a short switch
+    # interval interleaves them often
+    config = _write_config(tmp_path, "c.json", {
+        "model": {**GRADED_MODEL, "n_sites": 5},
+        "bath": {"family": "target_z", "f": 0.5},
+        "sweep": {"parameter": "f", "grid": [0.2, 0.4, 0.6, 0.8, -0.3, -0.5]},
+        "output": {"format": "csv"},
+    })
+    _clear_caches()
+    serial = _table_modulo_timing("sweep", config, tmp_path / "a.csv", 1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for workers in (2, 2, 4):
+            _clear_caches()
+            assert _table_modulo_timing("sweep", config, tmp_path / "b.csv", workers) == serial
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_cmd_symmetry_refuses_a_decoupled_chain_with_the_forward_certificate(tmp_path, capsys,
@@ -716,6 +867,22 @@ def test_ci_unconverged_certificate_is_a_clean_solver_error(tmp_path):
              "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))})
     assert done.returncode == 1
     assert "chainflux: solver error: the shift-invert eigensolve converged" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_ci_oversize_number_is_a_clean_config_error(tmp_path):
+    # as the CI step runs it: exit 2 with a message and no traceback
+    config = Path(__file__).parent / "configs" / "steady_n3_oversize_alpha.json"
+    src = str(Path(chainflux.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "chainflux.cli", "steady", "--config", str(config),
+         "--out", str(tmp_path / "out.csv")],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ,
+             "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))})
+    assert done.returncode == 2
+    assert done.stderr.startswith("chainflux: config error: 'model.alpha' must be finite, got 1000")
     assert "Traceback" not in done.stderr
     assert not (tmp_path / "out.csv").exists()
 

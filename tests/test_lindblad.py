@@ -285,6 +285,118 @@ def test_solve_block_is_the_q0_slice_of_the_matrix(n_sites, diss):
     assert index.size == (math.comb(2 * n_sites, n_sites) if restricted else 4**n_sites)
 
 
+def _reference_assembly(liouv, shift, q0, border):
+    """The generator's solve block by one COO sum with no pattern cache: every
+    term's column-major key, np.unique, np.add.at in term order, exact zeros
+    dropped, then the q=0 rows and columns when no entry couples two sectors."""
+    d, size = liouv.dim, liouv.dim**2
+    k_eff = -1j * liouv.hamiltonian
+    for L in liouv.jumps:
+        k_eff = k_eff - 0.5 * (L.conj().T @ L)
+    ident = np.arange(d)
+
+    def term(a, b):  # the key and value of each nonzero of A (x) B, as np.kron orders them
+        (ra, ca), (rb, cb) = np.nonzero(a), np.nonzero(b)
+        keys = (d * ca[:, None] + cb) * size + d * ra[:, None] + rb
+        return keys.ravel(), np.multiply.outer(a[ra, ca], b[rb, cb]).ravel()
+
+    terms = [term(np.eye(d), k_eff), term(k_eff.conj(), np.eye(d))]
+    terms += [term(L.conj(), L) for L in liouv.jumps]
+    if shift:
+        terms.append((np.arange(size) * (size + 1), np.full(size, -shift, dtype=complex)))
+    if border:
+        terms.append((ident * (d + 1) * size, np.full(d, 1.0 / d, dtype=complex)))
+    key, position = np.unique(np.concatenate([k for k, _ in terms]), return_inverse=True)
+    total = np.zeros(key.size, dtype=complex)
+    np.add.at(total, position, np.concatenate([v for _, v in terms]))
+    key, total = key[total != 0], total[total != 0]
+    row, col, index = key % size, key // size, np.arange(size)
+    ones = np.array([bin(i).count("1") for i in range(d)])
+    charge = np.add.outer(-ones, ones).ravel()  # index row + d*col has q = ones[row] - ones[col]
+    if q0 and np.array_equal(charge[row], charge[col]):
+        index = np.flatnonzero(charge == 0)
+        inside = charge[col] == 0
+        rank = np.cumsum(charge == 0) - 1
+        row, col, total = rank[row[inside]], rank[col[inside]], total[inside]
+    block = scipy.sparse.coo_matrix((total, (row, col)), shape=(index.size,) * 2).tocsc()
+    return block, index
+
+
+def test_reused_assembly_pattern_is_bitwise():
+    # 96 generators (N = 1..6, both families, drives +1, -1, 0 and 0.5, field 0
+    # and 0.3) under every flag combination, in a shuffled order through the
+    # bounded pattern cache, so hits on other generators' patterns and misses mix
+    generators = []
+    for n_sites in range(1, 7):
+        for b in (0.0, 0.3):
+            spec = ChainSpec(n_sites, alpha=0.9, delta=tuple(np.linspace(0.6, 1.4, n_sites - 1)),
+                             b_field=(b,) * n_sites)
+            for drive in (1.0, -1.0, 0.0, 0.5):
+                for diss in (TargetZ(drive, -drive, gamma=1.3), TwistedXY(drive, -drive, rate=0.8)):
+                    generators.append(build_liouvillian(build_hamiltonian(spec),
+                                                        jump_operators(diss, n_sites)))
+    flags = [(shift, q0, border) for shift in (0.0, lindblad._CERTIFICATE_SHIFT)
+             for q0 in (False, True) for border in (False, True)]
+    cases = [(liouv, flag) for liouv in generators for flag in flags
+             if liouv.dim <= 32 or flag in ((lindblad._CERTIFICATE_SHIFT, True, False),
+                                            (0.0, True, True))]  # N=6: the solve blocks only
+    order = np.random.default_rng(18).permutation(len(cases))
+    lindblad._pattern.cache_clear()
+    for position in order:
+        liouv, (shift, q0, border) = cases[position]
+        block, index = liouv._assemble(shift, q0=q0, border=border)
+        reference, reference_index = _reference_assembly(liouv, shift, q0, border)
+        assert np.array_equal(index, reference_index)
+        assert block.format == "csc" and block.shape == reference.shape
+        assert block.indptr.tobytes() == reference.indptr.astype(block.indptr.dtype).tobytes()
+        assert block.indices.tobytes() == reference.indices.astype(block.indices.dtype).tobytes()
+        assert block.data.tobytes() == reference.data.tobytes()
+    info = lindblad._pattern.cache_info()
+    assert info.hits > 0 and info.misses > 0
+    # on one site at k = 0 the couplings of the two twisted_xy pairs cancel
+    # exactly; the pattern keeps them, the assembly drops them and then
+    # restricts to q=0
+    cancelling = build_liouvillian(build_hamiltonian(ChainSpec(1, 0.9, (), (0.0,))),
+                                   jump_operators(TwistedXY(0.0, 0.0), 1))
+    for _ in range(2):  # a miss, then a hit
+        block, index = cancelling._assemble(lindblad._CERTIFICATE_SHIFT, q0=True)
+        assert index.tolist() == [0, 3]
+        assert block.data.tobytes() == _reference_assembly(
+            cancelling, lindblad._CERTIFICATE_SHIFT, True, False)[0].data.tobytes()
+    # a shift equal to the rho[0, 0] diagonal entry cancels it inside the q=0 block
+    spec = ChainSpec(3, alpha=0.9, delta=(0.6, 1.4), b_field=(0.3,) * 3)
+    liouv = build_liouvillian(build_hamiltonian(spec), jump_operators(TargetZ(0.5, -0.5), 3))
+    shift = liouv.matrix[0, 0]
+    assert shift.imag == 0
+    for _ in range(2):
+        block, index = liouv._assemble(shift.real, q0=True)
+        reference, _ = _reference_assembly(liouv, shift.real, True, False)
+        assert block[0, 0] == 0 and block.nnz == reference.nnz
+        assert block.indptr.tobytes() == reference.indptr.astype(np.int32).tobytes()
+        assert block.indices.tobytes() == reference.indices.astype(np.int32).tobytes()
+        assert block.data.tobytes() == reference.data.tobytes()
+
+
+def test_assembly_pattern_is_shared_and_read_only():
+    spec = expand_graded(GradedProfile(1.0, 0.5), 3)
+    first, second = (build_liouvillian(build_hamiltonian(spec), jump_operators(diss, 3))
+                     for diss in (TargetZ(0.5, -0.5), TargetZ(0.2, -0.2, gamma=1.7)))
+    lindblad._pattern.cache_clear()
+    a, index_a = first._assemble(lindblad._CERTIFICATE_SHIFT, q0=True)
+    b, index_b = second._assemble(lindblad._CERTIFICATE_SHIFT, q0=True)
+    # the same nonzero positions: one pattern, different values
+    assert lindblad._pattern.cache_info().misses == 1
+    assert index_b is index_a  # and the matrices view the pattern's arrays, uncopied
+    assert np.shares_memory(b.indices, a.indices) and np.shares_memory(b.indptr, a.indptr)
+    assert not np.array_equal(a.data, b.data)
+    for array in (a.indices, a.indptr, index_a):
+        assert not array.flags.writeable
+    # f = +1 zeroes two jumps: their positions, and so the pattern, differ
+    third = build_liouvillian(build_hamiltonian(spec), jump_operators(TargetZ(1.0, -1.0), 3))
+    third._assemble(lindblad._CERTIFICATE_SHIFT, q0=True)
+    assert lindblad._pattern.cache_info().misses == 2
+
+
 def test_steady_state_does_not_assemble_the_full_matrix():
     spec = expand_graded(GradedProfile(1.0, 0.5), 4, b_field=0.3)
     for diss in (TargetZ(0.5, -0.5), TwistedXY(0.5, -0.5)):

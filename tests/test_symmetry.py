@@ -4,7 +4,10 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chainflux.chain as chain_module
 import chainflux.lindblad as lindblad
+import chainflux.pauli as pauli_module
+import chainflux.symmetry as symmetry
 
 from chainflux.chain import ChainSpec, GradedProfile, expand_graded
 from chainflux.errors import SpecError
@@ -326,6 +329,59 @@ class _XFlippedTwisted(TwistedXY):
 def test_inversion_map_needs_the_family_unitary():
     # the x-flip does not carry the twisted_xy jumps onto their partners
     assert not inversion_map_holds(_chain(3), _XFlippedTwisted(0.5, -0.5))
+
+
+def _operator_level_map_holds(spec, diss):
+    """The inversion map checked on the 2^N x 2^N operators: u H u^dag == H,
+    and the nonzero u L_s u^dag match the nonzero inverted-bath jumps one to
+    one, each up to a factor +-1 or +-i. The dense products are exact: u has
+    one unit-phase entry per row and column."""
+    u = conjugation_unitary(diss, spec.n_sites)
+    h = build_hamiltonian(spec)
+    if not np.array_equal(u @ h @ u.conj().T, h):
+        return False
+    images = [u @ jump @ u.conj().T for jump in jump_operators(diss, spec.n_sites) if jump.any()]
+    targets = [jump for jump in jump_operators(diss.inverted(), spec.n_sites) if jump.any()]
+    for image in images:
+        match = [i for i, target in enumerate(targets)
+                 if any(np.array_equal(image, phase * target) for phase in (1, -1, 1j, -1j))]
+        if not match:
+            return False
+        targets.pop(match[0])
+    return not targets
+
+
+_MAP_BATHS = (
+    *(TargetZ(drive, -drive) for drive in (0.5, 1.0, 0.0, -0.7)),
+    TargetZ(0.5, -0.4), TargetZ(1.0, 0.2, gamma=1.5),
+    *(TwistedXY(drive, -drive) for drive in (0.5, 1.0, 0.0, -0.7)),
+    TwistedXY(0.5, -0.4), TwistedXY(0.3, -0.3, rate=2.0, swapped=True),
+    _XFlippedTwisted(0.5, -0.5), _XFlippedTwisted(0.0, 0.0),
+)
+
+
+@pytest.mark.parametrize("n_sites", [1, 2, 3, 4, 5])
+def test_per_term_map_check_equals_the_operator_level_oracle(n_sites):
+    verdicts = set()
+    for b in (0.0, 0.3):
+        for bath in _MAP_BATHS:
+            verdict = inversion_map_holds(_chain(n_sites, b), bath)
+            assert verdict == _operator_level_map_holds(_chain(n_sites, b), bath), (b, bath)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_map_check_builds_no_chain_operator(monkeypatch):
+    def refuse(*args, **kwargs):
+        pytest.fail("the map check built a 2^N x 2^N operator")
+
+    for module in (pauli_module, chain_module, lindblad, symmetry):
+        for name in ("embed", "build_hamiltonian", "jump_operators", "conjugation_unitary"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    for n_sites in (1, 3, 5):
+        for bath in (TargetZ(0.5, -0.5), TwistedXY(0.5, -0.5)):
+            assert inversion_map_holds(_chain(n_sites), bath)
+            assert not inversion_map_holds(_chain(n_sites, b=0.3), bath)
 
 
 def test_parity_report_with_a_field_runs_two_certificates(monkeypatch):
