@@ -18,6 +18,22 @@ from .errors import SpecError
 from .pauli import embed, kron_chain, pauli
 
 
+def finite(value) -> bool:
+    """Whether a number is a finite float; an integer beyond the float range
+    (which ``math.isfinite`` cannot convert) is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _float(value, name: str) -> float:
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise SpecError(f"{name} must be finite") from None
+
+
 @dataclass(frozen=True)
 class ChainSpec:
     """Full parameterization of the XXZ spin chain: one XY coupling ``alpha``
@@ -29,9 +45,9 @@ class ChainSpec:
     b_field: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "delta", tuple(float(d) for d in self.delta))
-        object.__setattr__(self, "b_field", tuple(float(b) for b in self.b_field))
+        object.__setattr__(self, "alpha", _float(self.alpha, "alpha"))
+        object.__setattr__(self, "delta", tuple(_float(d, "delta") for d in self.delta))
+        object.__setattr__(self, "b_field", tuple(_float(b, "b_field") for b in self.b_field))
         if self.n_sites < 1:
             raise SpecError(f"n_sites must be >= 1, got {self.n_sites}")
         for name, values in (("alpha", (self.alpha,)), ("delta", self.delta),

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .chain import ChainSpec, GradedProfile, expand_graded
+from .chain import ChainSpec, GradedProfile, expand_graded, finite
 from .classical import ClassicalChainSpec
 from .errors import SpecError
 from .lindblad import METHOD, SOLVER, DissipatorSpec, TargetZ, TwistedXY, require_max_sites
@@ -52,18 +51,9 @@ def _number(section: dict, key: str, name: str):
     value = section[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SpecError(f"'{name}.{key}' must be a number, got {value!r}")
-    if not _finite(value):
+    if not finite(value):  # json.loads accepts NaN, Infinity and oversize integers
         raise SpecError(f"'{name}.{key}' must be finite, got {value!r}")
     return value
-
-
-def _finite(value: int | float) -> bool:
-    """Whether a JSON number is a finite float: json.loads accepts NaN and
-    Infinity, and integers too large for a float."""
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an integer beyond the float range
-        return False
 
 
 def _numbers(section: dict, key: str, name: str) -> tuple[float, ...]:
@@ -73,7 +63,7 @@ def _numbers(section: dict, key: str, name: str) -> tuple[float, ...]:
     for value in values:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise SpecError(f"'{name}.{key}' entries must be numbers, got {value!r}")
-        if not _finite(value):
+        if not finite(value):
             raise SpecError(f"'{name}.{key}' entries must be finite, got {value!r}")
     return tuple(float(v) for v in values)
 

@@ -30,6 +30,7 @@ from .chain import (
     build_hamiltonian,
     energy_current_field_op,
     energy_current_xxz_op,
+    finite,
     spin_current_op,
 )
 from .errors import (
@@ -63,8 +64,19 @@ _CERTIFICATE_MAX_RESTARTS = 50
 # up to about 2e-16 / |lambda_2| (graded N=3..5 chains, both families: 7e-12
 # at a gap of 4e-6, 5e-8 at 4e-10, 3e-7 at 8e-10), which near the 1e-8
 # conjugation and 1e-9 sign thresholds would flip checks; below this gap the
-# partner is eigensolved.
+# partner is eigensolved. A forward solve accepts the norm bound from its
+# bordered factor only at this value or above, for the same reason.
 _BORDERED_MIN_GAP = 1e-5
+# Largest block (q=0 block or whole generator) whose forward solve is first
+# certified by 1 / ||B^-1||_1 from the bordered factor (``_norm_bound_zero_mode``)
+# rather than by the shift-invert eigensolve. On small blocks ARPACK's own
+# bookkeeping outweighs the m solves of B X = I; on large ones the m solves
+# cost more. Eigensolve against factor and inverse, per solve (graded chains,
+# one BLAS thread, shared 2-core x86_64): m=20 0.82 vs 0.19 ms, m=64 1.85 vs
+# 0.57 ms, m=70 1.64 vs 0.34 ms, but m=252 3.2 vs 4.4 ms, m=256 4.1 vs 6.5 ms.
+# The blocks at N <= 7 have dimension 2, 4, 6, 16, 20, 64, 70, 252, 256, 924,
+# 1024, 3432, 4096 or 16384, so this selects N <= 3 and the N=4 q=0 block.
+_NORM_BOUND_MAX_DIM = 128
 # SuperLU options for the one factor of A - shift*I that ARPACK inverts: a
 # minimum-degree ordering of A^T + A with preference for diagonal pivots. On
 # the N=6 generators it cuts the fill of SuperLU's default (COLAMD ordering,
@@ -73,7 +85,8 @@ _BORDERED_MIN_GAP = 1e-5
 # only its q=0 block (dimension 924 of 4096), which fills 0.09M.
 _FACTOR_OPTIONS = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.1,
                    "options": {"SymmetricMode": True}}
-# The bordered factor of a bath-inverted partner takes the diagonal pivot down
+# The bordered factor (of a bath-inverted partner or a forward block under
+# _NORM_BOUND_MAX_DIM) takes the diagonal pivot down
 # to 0.01 of its column. At 0.1 the unshifted N=6 target_z partner at drive
 # 0.8 filled 130K (its shift-invert factor: 99K), which raised the peak
 # memory of a certification. At 0.01 the partners of the default drive grid
@@ -110,8 +123,10 @@ SOLVER = SolverConfig()
 
 def _require_finite(bath) -> None:
     for name, value in vars(bath).items():
-        if not math.isfinite(value):
-            raise SpecError(f"{name} must be finite, got {value}")
+        if not finite(value):
+            # an oversize integer may have more digits than str() converts
+            shown = value if isinstance(value, float) else "an integer beyond the float range"
+            raise SpecError(f"{name} must be finite, got {shown}")
 
 
 @dataclass(frozen=True)
@@ -296,6 +311,21 @@ class Liouvillian:
         """Sparse column-stacked superoperator of shape (dim^2, dim^2)."""
         return self._assemble()[0]
 
+    @cached_property
+    def _nonzeros(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The row-major flat positions and the values of the nonzeros of
+        K_eff = -iH - (1/2) sum_s L_s^dag L_s and of each jump, in that order."""
+        k_eff = -1j * self.hamiltonian
+        for _, ldl in self._pairs:
+            k_eff = k_eff - 0.5 * ldl
+        return [(flat, op.ravel()[flat])
+                for op in (k_eff, *self.jumps) for flat in (np.flatnonzero(op),)]
+
+    def _structure(self, shift: bool, border: bool, q0: bool):
+        """``_pattern`` of this generator's nonzero positions: it sums no value."""
+        flats = tuple(flat.tobytes() for flat, _ in self._nonzeros)
+        return _pattern(self.dim, flats[0], flats[1:], shift, border, q0)
+
     def _assemble(self, shift: float = 0.0, q0: bool = False, border: bool = False):
         """CSC matrix of I (x) K + conj(K) (x) I + sum_s conj(L_s) (x) L_s - shift*I,
         and the column-stacked indices of its rows and columns: the q=0 ones if
@@ -311,24 +341,14 @@ class Liouvillian:
         restriction decided.
         """
         d = self.dim
-        k_eff = -1j * self.hamiltonian
-        for _, ldl in self._pairs:
-            k_eff = k_eff - 0.5 * ldl
-        k_flat = np.flatnonzero(k_eff)
-        k_val = k_eff.ravel()[k_flat]
+        (_, k_val), *jumps = self._nonzeros
         values = [np.tile(k_val, d), np.repeat(k_val.conj(), d)]
-        jump_flats = []
-        for L, _ in self._pairs:
-            flat = np.flatnonzero(L)
-            val = L.ravel()[flat]
-            jump_flats.append(flat.tobytes())
-            values.append(np.multiply.outer(val.conj(), val).ravel())
+        values += [np.multiply.outer(val.conj(), val).ravel() for _, val in jumps]
         if shift:
             values.append(np.full(d * d, -shift, dtype=complex))
         if border:
             values.append(np.full(d, 1.0 / d, dtype=complex))
-        terms, position, indices, indptr, index = _pattern(
-            d, k_flat.tobytes(), tuple(jump_flats), bool(shift), border, q0)
+        terms, position, indices, indptr, index = self._structure(bool(shift), border, q0)
         values = np.concatenate(values)
         if terms is not None:  # only these terms land in the q=0 block
             values = values[terms]
@@ -479,10 +499,14 @@ class Certificate:
     """Why a steady state is unique.
 
     ``route`` is ``"shift_invert"`` when the state's own generator was
-    eigensolved, or ``"bath_inversion"`` when an exact product-unitary map
-    carries the generator onto one that was, whose certificate it then keeps.
-    ``magnitudes`` are the two eigenvalue magnitudes nearest zero, smallest
-    first, and ``q0`` tells whether they are those of the q=0 block.
+    eigensolved, ``"norm_bound"`` when its bordered factor B bounded the gap
+    from below, or ``"bath_inversion"`` when an exact product-unitary map
+    carries the generator onto one certified either way, whose certificate
+    it then keeps. ``magnitudes`` are the two eigenvalue magnitudes nearest
+    zero, smallest first: on ``"norm_bound"`` they are 0.0, the exact zero
+    eigenvalue every trace-preserving generator has, and 1 / ||B^-1||_1, a
+    lower bound on the second (no eigenvalue is computed). ``q0`` tells
+    whether they are those of the q=0 block.
     """
 
     route: str
@@ -519,6 +543,12 @@ def steady_state(liouv: Liouvillian, certificate: Certificate | None = None) -> 
     eigensolve that does not converge within ``_CERTIFICATE_MAX_RESTARTS``
     restarts raises NoConvergenceError.
 
+    A block of at most ``_NORM_BOUND_MAX_DIM`` rows, decided from its
+    structure before any value is summed, first tries the cheaper norm bound
+    (``_norm_bound_zero_mode``): one bordered factor and its inverse. A bound
+    below ``_BORDERED_MIN_GAP``, a singular factor or a failed check below
+    sends the solve to the eigensolve, so every refusal comes from there.
+
     ``certificate`` is that of a generator which an exact product-unitary
     map carries onto this one, checked by the caller (``symmetry`` passes the
     bath-inverted partner's). Both then share one spectrum, so this kernel is
@@ -538,17 +568,22 @@ def steady_state(liouv: Liouvillian, certificate: Certificate | None = None) -> 
         )
     require_max_sites((liouv.dim - 1).bit_length())  # the qubits a dim x dim state needs
     start = time.perf_counter()
-    if certificate is not None and certificate.magnitudes[1] >= _BORDERED_MIN_GAP:
-        try:
-            return _finalize(liouv, _bordered_zero_mode(liouv, certificate.q0),
-                             dataclasses.replace(certificate, route="bath_inversion"), start)
-        except (RuntimeError, NumericalError):  # SuperLU: "Factor is exactly singular"
-            pass
-    certificate, vector = _zero_mode(liouv)
-    return _finalize(liouv, vector, certificate, start)
+    try:  # SuperLU raises RuntimeError on an exactly singular factor
+        if certificate is not None:
+            if certificate.magnitudes[1] >= _BORDERED_MIN_GAP:
+                return _finalize(liouv, dataclasses.replace(certificate, route="bath_inversion"),
+                                 _bordered_zero_mode(liouv, certificate.q0), start)
+        # the eigensolve's block size from its cached structure: no value is summed
+        elif liouv._structure(shift=True, border=False, q0=True)[4].size <= _NORM_BOUND_MAX_DIM:
+            bounded = _norm_bound_zero_mode(liouv)
+            if bounded is not None:
+                return _finalize(liouv, *bounded, start)
+    except (RuntimeError, NumericalError):
+        pass
+    return _finalize(liouv, *_zero_mode(liouv), start)
 
 
-def _finalize(liouv: Liouvillian, vector: np.ndarray, certificate: Certificate,
+def _finalize(liouv: Liouvillian, certificate: Certificate, vector: np.ndarray,
               start: float) -> SteadyState:
     """The record of a zero mode, normalized, Hermitized and checked."""
     rho = unvectorize(vector)
@@ -608,6 +643,41 @@ def _zero_mode(liouv: Liouvillian) -> tuple[Certificate, np.ndarray]:
     certificate = Certificate("shift_invert", (float(magnitudes[0]), float(magnitudes[1])),
                               index.size < vector.size)
     return certificate, vector
+
+
+def _norm_bound_zero_mode(liouv: Liouvillian) -> tuple[Certificate, np.ndarray] | None:
+    """The norm-bound certificate and the trace-one zero mode, as a
+    full-length vector, from one bordered factor of the generator's q=0
+    block (or the whole generator): None if the bound is below
+    ``_BORDERED_MIN_GAP``, and SuperLU's RuntimeError if B is exactly
+    singular.
+
+    B = A + e_0 w^T / d with w = vec(I) and w^T A = 0 (see
+    ``_bordered_zero_mode``). By Brauer's theorem spec(B) is spec(A) with one
+    zero replaced by w_0 / d = 1/d, and every eigenvalue mu of B has |mu| >=
+    1 / ||B^-1||_1, so 1 / ||B^-1||_1 <= |lambda_2| for the generator's (or
+    the q=0 block's) second eigenvalue: at least that bound certifies that
+    the kernel is one-dimensional. B X = I gives X = B^-1 and, in its first
+    column over d, the zero mode x, which one residual correction x += X (e_0
+    / d - B x) refines: the factor's small pivots put x up to 1e-13 from an
+    extended-precision solve (300 random chains under the cap; 8.6e-16 for
+    the N=4 target_z chain at drive 0.8, whose eigenvector is 1.6e-16 off),
+    and after the correction it is at most 4.6e-16 off.
+    """
+    bordered, index = liouv._assemble(q0=True, border=True)
+    inverse = scipy.sparse.linalg.splu(bordered, **_BORDERED_FACTOR_OPTIONS).solve(
+        np.eye(index.size, dtype=complex))
+    bound = 1.0 / np.abs(inverse).sum(axis=0).max()
+    if not bound >= _BORDERED_MIN_GAP:  # a NaN bound is refused too
+        return None
+    zero_mode = inverse[:, 0] / liouv.dim
+    residual = -(bordered @ zero_mode)
+    residual[0] += 1.0 / liouv.dim
+    vector = np.zeros(liouv.dim**2, dtype=complex)
+    vector[index] = zero_mode + inverse @ residual
+    # the first magnitude is the exact zero eigenvalue w^T A = 0 guarantees:
+    # this route computes no eigenvalue, and its second magnitude is a bound
+    return Certificate("norm_bound", (0.0, float(bound)), index.size < vector.size), vector
 
 
 def _bordered_zero_mode(liouv: Liouvillian, q0: bool) -> np.ndarray:
@@ -735,10 +805,10 @@ def chain_steady_state(spec: ChainSpec, diss: DissipatorSpec,
     """Hamiltonian + jumps + steady-state solve, memoised per (spec, bath,
     certificate).
 
-    ``certificate`` is passed on to ``steady_state``: the shift-invert
-    certificate of a generator that an exact map carries onto this one. It
-    is part of the cache key, so ``chain_steady_state(spec, diss)`` always
-    returns the record of the state's own shift-invert certificate. The
+    ``certificate`` is passed on to ``steady_state``: the certificate of a
+    generator that an exact map carries onto this one. It is part of the
+    cache key, so ``chain_steady_state(spec, diss)`` always returns the
+    record of the state's own certificate. The
     returned record is shared between calls, so its ``rho`` is read-only.
     """
     require_max_sites(spec.n_sites)  # before any operator is built

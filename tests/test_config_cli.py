@@ -432,20 +432,39 @@ def _count_eigensolves(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("bath, eigensolves", [
+def _count_certificates(monkeypatch):
+    """Record the route of each certificate a solve issues (the eigensolve's
+    or the norm bound's; a refused norm bound issues none), with an empty
+    solve cache."""
+    lindblad._cached_chain_steady_state.cache_clear()
+    routes = []
+    for name in ("_zero_mode", "_norm_bound_zero_mode"):
+        def recording(liouv, original=getattr(lindblad, name)):
+            issued = original(liouv)
+            if issued is not None:
+                routes.append(issued[0].route)
+            return issued
+        monkeypatch.setattr(lindblad, name, recording)
+    return routes
+
+
+@pytest.mark.parametrize("bath, certificates", [
     # one certificate per forward/inverted pair: three pairs, one pair
     ({"family": "target_z", "f": 0.5}, 3),
     ({"family": "twisted_xy", "k": 0.6}, 1),
 ])
-def test_cmd_symmetry_certifies_each_pair_once(tmp_path, monkeypatch, bath, eigensolves):
-    calls = _count_eigensolves(monkeypatch)
+def test_cmd_symmetry_certifies_each_pair_once(tmp_path, monkeypatch, bath, certificates):
+    routes = _count_certificates(monkeypatch)
     config = _write_config(tmp_path, "c.json", {
         "model": {**GRADED_MODEL, "n_sites": 4},
         "bath": bath,
         "output": {"path": str(tmp_path / "sym.csv")},
     })
     assert main(["symmetry", "--config", str(config)]) == 0
-    assert len(calls) == eigensolves
+    # the N=4 q=0 block (70) is certified by the norm bound, the full
+    # twisted_xy generator (256) by the eigensolve
+    route = "norm_bound" if bath["family"] == "target_z" else "shift_invert"
+    assert routes == [route] * certificates
     _, _, rows = _read_csv(tmp_path / "sym.csv")
     assert all(r["passed"] == "true" for r in rows)
 
@@ -836,6 +855,7 @@ def test_cli_unwritable_output_is_a_config_error(tmp_path, capsys, out):
 @pytest.mark.parametrize("command, name", [("steady", "steady_n3.json"),
                                            ("steady", "steady_n6_field.json"),
                                            ("symmetry", "symmetry_n3.json"),
+                                           ("symmetry", "symmetry_n4.json"),
                                            ("symmetry", "symmetry_n4_twisted.json"),
                                            ("symmetry", "symmetry_n5_twisted.json"),
                                            ("symmetry", "symmetry_n7.json"),

@@ -3,6 +3,7 @@ import json
 import math
 import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 import chainflux.lindblad as lindblad
 from chainflux.chain import ChainSpec, GradedProfile, build_hamiltonian, expand_graded
 from chainflux.cli import main
-from chainflux.config import STEADY_METHODS
+from chainflux.config import STEADY_METHODS, load_config
 from chainflux.errors import (
     NoConvergenceError,
     NonUniqueSteadyStateError,
@@ -136,6 +137,26 @@ def test_specs_refuse_non_finite_fields(field):
     kind, args, kwargs = _NON_FINITE_SPECS[field]
     # NaN passes every range comparison, and inf gamma or rate is positive;
     # either would reach the factorisation as a singular matrix
+    with pytest.raises(SpecError, match=f"^{field} must be finite"):
+        kind(*args, **kwargs)
+
+
+# An integer too large for a float: float() and math.isfinite raise
+# OverflowError on it, so it must be refused before either runs.
+_OVERSIZE_SPECS = {
+    "alpha": (ChainSpec, (2, 10**400, (1.0,), (0.0, 0.0)), {}),
+    "delta": (ChainSpec, (2, 1.0, (-10**400,), (0.0, 0.0)), {}),
+    "b_field": (ChainSpec, (2, 1.0, (1.0,), (0.0, 10**400)), {}),
+    "f_left": (TargetZ, (10**400, -0.5), {}),
+    "gamma": (TargetZ, (0.5, -0.5), {"gamma": 10**400}),
+    "k_prime": (TwistedXY, (0.5, -10**400), {}),
+    "rate": (TwistedXY, (0.5, -0.5), {"rate": 10**5000}),  # more digits than str() converts
+}
+
+
+@pytest.mark.parametrize("field", _OVERSIZE_SPECS)
+def test_specs_refuse_oversize_integers(field):
+    kind, args, kwargs = _OVERSIZE_SPECS[field]
     with pytest.raises(SpecError, match=f"^{field} must be finite"):
         kind(*args, **kwargs)
 
@@ -597,7 +618,8 @@ def _graded_pair(n_sites, family, b=0.0):
 
 @pytest.mark.parametrize("family, q0", [("target_z", True), ("twisted_xy", False)])
 def test_shift_invert_certificate_is_recorded(family, q0):
-    liouv, _ = _graded_pair(4, family)
+    # N=5: blocks of 252 (q=0) and 1024, above the norm bound's cap
+    liouv, _ = _graded_pair(5, family)
     certificate = steady_state(liouv).certificate
     assert certificate == _zero_mode(liouv)[0]
     assert certificate.route == "shift_invert"
@@ -659,7 +681,7 @@ def test_partner_falls_back_to_the_full_certificate_on_a_singular_factor(monkeyp
 
 
 def test_partner_falls_back_to_the_full_certificate_on_a_failed_residual(monkeypatch):
-    forward, inverted = _graded_pair(4, "target_z")
+    forward, inverted = _graded_pair(5, "target_z")  # eigensolved: q=0 block of 252
     certificate = steady_state(forward).certificate
     full = steady_state(inverted)
     residuals = []
@@ -677,7 +699,7 @@ def test_partner_falls_back_to_the_full_certificate_on_a_failed_residual(monkeyp
 
 def test_standalone_solve_returns_the_shift_invert_record():
     _cached_chain_steady_state.cache_clear()
-    spec = expand_graded(GradedProfile(1.0, 0.5), 3)
+    spec = expand_graded(GradedProfile(1.0, 0.5), 5)  # eigensolved: q=0 block of 252
     forward = chain_steady_state(spec, TargetZ(0.5, -0.5))
     partner = chain_steady_state(spec, TargetZ(-0.5, 0.5), forward.certificate)
     assert partner.certificate.route == "bath_inversion"
@@ -685,6 +707,159 @@ def test_standalone_solve_returns_the_shift_invert_record():
     assert standalone is not partner
     assert standalone.certificate.route == "shift_invert"
     assert chain_steady_state(spec, TargetZ(-0.5, 0.5), forward.certificate) is partner
+
+
+@pytest.mark.parametrize("n_sites, family, q0", [(4, "target_z", True), (3, "twisted_xy", False)])
+def test_norm_bound_certificate_is_recorded(n_sites, family, q0):
+    liouv, _ = _graded_pair(n_sites, family)  # blocks of 70 and 64
+    certificate = steady_state(liouv).certificate
+    assert certificate.route == "norm_bound"
+    assert certificate.q0 is q0
+    low, bound = certificate.magnitudes
+    assert type(low) is type(bound) is float
+    # the exact zero eigenvalue of a trace-preserving generator, and 1/||B^-1||_1
+    assert low == 0.0
+    inverse = np.linalg.inv(liouv._assemble(q0=True, border=True)[0].toarray())
+    assert bound == pytest.approx(1.0 / np.abs(inverse).sum(axis=0).max(), rel=1e-10)
+    gap = np.sort(np.abs(scipy.linalg.eigvals(liouv._assemble(q0=True)[0].toarray())))[1]
+    assert lindblad._BORDERED_MIN_GAP <= bound <= gap
+
+
+def _random_small_generator(rng, family):
+    """A generator with a field, random couplings and asymmetric drives whose
+    solve block is at most _NORM_BOUND_MAX_DIM: N <= 4 target_z, N <= 3
+    twisted_xy."""
+    n_sites = int(rng.integers(1, 5 if family == "target_z" else 4))
+    spec = ChainSpec(n_sites, alpha=rng.uniform(0.2, 1.5),
+                     delta=tuple(rng.uniform(0.0, 2.0, n_sites - 1)),
+                     b_field=tuple(rng.uniform(-1.0, 1.0, n_sites)))
+    drives = rng.uniform(-0.95, 0.95, 2)
+    rate = rng.uniform(0.1, 2.0)
+    diss = TargetZ(*drives, gamma=rate) if family == "target_z" else TwistedXY(*drives, rate=rate)
+    return build_liouvillian(build_hamiltonian(spec), jump_operators(diss, n_sites))
+
+
+@pytest.mark.parametrize("family", ["target_z", "twisted_xy"])
+def test_norm_bound_never_exceeds_the_second_magnitude(family):
+    # Brauer: spec(B) is spec(A) with one zero replaced by 1/d, and no
+    # eigenvalue of B is smaller in magnitude than 1/||B^-1||_1
+    rng = np.random.default_rng(22)
+    certified = 0
+    for _ in range(40):
+        liouv = _random_small_generator(rng, family)
+        block = liouv._assemble(q0=True)[0].toarray()
+        assert block.shape[0] <= lindblad._NORM_BOUND_MAX_DIM
+        magnitudes = np.sort(np.abs(scipy.linalg.eigvals(block)))
+        issued = lindblad._norm_bound_zero_mode(liouv)
+        if issued is not None:
+            bound = issued[0].magnitudes[1]
+            assert lindblad._BORDERED_MIN_GAP <= bound <= magnitudes[1]
+            # 1/d, the border's eigenvalue, can be the smallest (a one-site
+            # block): then the bound meets it up to rounding
+            assert bound <= (1.0 + 1e-12) / liouv.dim
+            certified += 1
+    assert certified >= 30
+
+
+@pytest.mark.parametrize("family", ["target_z", "twisted_xy"])
+def test_norm_bound_zero_mode_is_corrected_by_its_residual(family):
+    # the 0.01-pivot factor alone puts two of these zero modes 1.1e-15 and
+    # 1.7e-15 from a dense partial-pivoting solve of B (1e-13 on other
+    # chains); one residual correction with B^-1 brings them within 3e-16
+    rng = np.random.default_rng(22)
+    for _ in range(40):
+        liouv = _random_small_generator(rng, family)
+        bordered, index = liouv._assemble(q0=True, border=True)
+        rhs = np.zeros(index.size, dtype=complex)
+        rhs[0] = 1.0 / liouv.dim
+        dense = np.linalg.solve(bordered.toarray(), rhs)
+        assert np.abs(lindblad._norm_bound_zero_mode(liouv)[1][index] - dense).max() <= 1e-15
+
+
+@pytest.mark.parametrize("name", ["steady_n3.json", "symmetry_n3.json", "symmetry_n4.json"])
+def test_norm_bound_state_matches_the_eigensolve_on_the_config_chains(name):
+    # the configs whose blocks are under the cap (the others are N >= 4
+    # twisted_xy or N >= 5), with every bath a symmetry run solves
+    config = load_config(Path(__file__).parent / "configs" / name)
+    spec, bath = config.model.chain, config.bath
+    baths = {bath}
+    if name.startswith("symmetry"):
+        baths |= {bath.inverted()} | {each for drive in bath.scan_grid
+                                      for each in (bath.with_drive(drive),
+                                                   bath.with_drive(drive).inverted())}
+    for diss in baths:
+        liouv = build_liouvillian(build_hamiltonian(spec), jump_operators(diss, spec.n_sites))
+        solved = steady_state(liouv)
+        assert solved.certificate.route == "norm_bound"
+        certificate, vector = _zero_mode(liouv)
+        eigensolved = lindblad._finalize(liouv, certificate, vector, time.perf_counter())
+        assert np.abs(solved.rho - eigensolved.rho).max() <= 1e-15, diss
+
+
+def test_norm_bound_falls_back_to_the_eigensolve_on_a_failed_residual(monkeypatch):
+    liouv, _ = _graded_pair(4, "target_z")
+    certificate, vector = _zero_mode(liouv)
+    eigensolved = lindblad._finalize(liouv, certificate, vector, time.perf_counter())
+    residuals = []
+
+    def failing_first(liouv, rho):
+        residuals.append(rho)
+        return 1.0 if len(residuals) == 1 else liouvillian_residual(liouv, rho)
+
+    monkeypatch.setattr(lindblad, "liouvillian_residual", failing_first)
+    fallback = steady_state(liouv)
+    assert len(residuals) == 2
+    assert fallback.certificate == certificate
+    assert fallback.rho.tobytes() == eigensolved.rho.tobytes()
+
+
+def test_norm_bound_falls_back_to_the_eigensolve_on_a_singular_factor(monkeypatch):
+    liouv, _ = _graded_pair(4, "target_z")
+    certificate = _zero_mode(liouv)[0]
+    options = []
+    splu = scipy.sparse.linalg.splu
+
+    def singular_first(matrix, **kwargs):
+        options.append(kwargs)
+        if len(options) == 1:  # the bordered factor
+            raise RuntimeError("Factor is exactly singular")
+        return splu(matrix, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", singular_first)
+    assert steady_state(liouv).certificate == certificate
+    assert options == [lindblad._BORDERED_FACTOR_OPTIONS, lindblad._FACTOR_OPTIONS]
+
+
+@pytest.mark.parametrize("n_sites, family", [(5, "target_z"), (5, "twisted_xy"),
+                                             (4, "twisted_xy")])
+def test_a_block_above_the_cap_is_only_eigensolved(monkeypatch, n_sites, family):
+    # blocks of 252, 1024 and 256: one shifted assembly and one factor, and
+    # no bordered factor or solve with a matrix right-hand side
+    assemblies, factors, right_hand_sides = [], [], []
+    assemble = lindblad.Liouvillian._assemble
+
+    def recording_assemble(self, *args, **kwargs):
+        assemblies.append((args, kwargs))
+        return assemble(self, *args, **kwargs)
+
+    class RecordingFactor:
+        def __init__(self, factor):
+            self.factor = factor
+
+        def solve(self, rhs):
+            right_hand_sides.append(np.shape(rhs))
+            return self.factor.solve(rhs)
+
+    splu = scipy.sparse.linalg.splu
+    monkeypatch.setattr(lindblad.Liouvillian, "_assemble", recording_assemble)
+    monkeypatch.setattr(scipy.sparse.linalg, "splu",
+                        lambda matrix, **kwargs: factors.append(kwargs)
+                        or RecordingFactor(splu(matrix, **kwargs)))
+    liouv, _ = _graded_pair(n_sites, family)
+    assert steady_state(liouv).certificate.route == "shift_invert"
+    assert assemblies == [((lindblad._CERTIFICATE_SHIFT,), {"q0": True})]
+    assert factors == [lindblad._FACTOR_OPTIONS]
+    assert right_hand_sides and all(len(shape) == 1 for shape in right_hand_sides)
 
 
 def test_bath_family_facts():
@@ -848,6 +1023,56 @@ def test_borderline_uniqueness_outcomes_are_pinned(n_sites, family, alpha, rate)
             steady_state(liouv)
     else:
         assert steady_state(liouv).residual <= SolverConfig().residual_tol
+
+
+def _small_block_refusals():
+    """Generators under the norm bound's cap that are refused: the refused
+    borderline pins, decoupled (alpha = 0) chains and the stalling chain."""
+    for (family, n_sites), refused in sorted(_BORDERLINE_REFUSED.items()):
+        if (family, n_sites) == ("twisted_xy", 4):  # 256: above the cap
+            continue
+        for alpha, rate in sorted(refused):
+            spec = expand_graded(GradedProfile(1.0, 0.5), n_sites, alpha=alpha, b_field=0.3)
+            diss = (TargetZ(0.5, -0.5, gamma=rate) if family == "target_z"
+                    else TwistedXY(0.5, -0.5, rate=rate))
+            yield (build_liouvillian(build_hamiltonian(spec), jump_operators(diss, n_sites)),
+                   NonUniqueSteadyStateError)
+    for n_sites, diss in [(3, TargetZ(0.5, -0.5)), (4, TargetZ(0.5, -0.5)),
+                          (3, TwistedXY(0.6, -0.3))]:
+        spec = expand_graded(GradedProfile(1.0, 0.5), n_sites, alpha=0.0, b_field=0.3)
+        yield (build_liouvillian(build_hamiltonian(spec), jump_operators(diss, n_sites)),
+               NonUniqueSteadyStateError)
+    yield _stalling_chain(4), NoConvergenceError
+
+
+def test_small_block_refusals_come_from_the_eigensolve(monkeypatch):
+    # the norm bound refuses (or its factor is singular), and the error the
+    # solve raises is the very one the eigensolve raised
+    tried, raised = [], []
+    norm_bound, zero_mode = lindblad._norm_bound_zero_mode, lindblad._zero_mode
+
+    def recording_norm_bound(liouv):
+        tried.append(liouv)
+        return norm_bound(liouv)
+
+    def recording_zero_mode(liouv):
+        try:
+            return zero_mode(liouv)
+        except Exception as exc:
+            raised.append(exc)
+            raise
+
+    monkeypatch.setattr(lindblad, "_norm_bound_zero_mode", recording_norm_bound)
+    monkeypatch.setattr(lindblad, "_zero_mode", recording_zero_mode)
+    cases = 0
+    for cases, (liouv, error) in enumerate(_small_block_refusals(), start=1):
+        with pytest.raises(error) as info:
+            steady_state(liouv)
+        assert tried[-1] is liouv
+        assert info.value is raised[-1]
+        if error is NonUniqueSteadyStateError:
+            assert re.search(r"magnitudes \S+ and \S+", str(info.value))
+    assert cases == len(raised) == len(tried) == 7 + 6 + 8 + 3 + 1
 
 
 @pytest.mark.parametrize("n_sites", [3, 4])

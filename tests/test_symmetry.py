@@ -292,6 +292,22 @@ def _count_eigensolves(monkeypatch):
     return calls
 
 
+def _count_certificates(monkeypatch):
+    """Record the route of each certificate a solve issues (the eigensolve's
+    or the norm bound's; a refused norm bound issues none), with an empty
+    solve cache."""
+    lindblad._cached_chain_steady_state.cache_clear()
+    routes = []
+    for name in ("_zero_mode", "_norm_bound_zero_mode"):
+        def recording(liouv, original=getattr(lindblad, name)):
+            issued = original(liouv)
+            if issued is not None:
+                routes.append(issued[0].route)
+            return issued
+        monkeypatch.setattr(lindblad, name, recording)
+    return routes
+
+
 def _chain(n_sites, b=0.0):
     return ChainSpec(n_sites, alpha=0.8, delta=tuple(np.linspace(0.8, 1.4, n_sites - 1)),
                      b_field=(b,) * n_sites)
@@ -318,7 +334,8 @@ def test_equal_jumps_are_matched_one_to_one():
     assert check_conjugation_identity(spec, bath).max_error <= 1e-12
     forward = chain_steady_state(spec, bath)
     partner = chain_steady_state(spec, bath, forward.certificate)
-    assert (forward.certificate.route, partner.certificate.route) == ("shift_invert",
+    # the one-site q=0 block (dimension 2) is certified by the norm bound
+    assert (forward.certificate.route, partner.certificate.route) == ("norm_bound",
                                                                        "bath_inversion")
 
 
@@ -385,21 +402,23 @@ def test_map_check_builds_no_chain_operator(monkeypatch):
 
 
 def test_parity_report_with_a_field_runs_two_certificates(monkeypatch):
-    eigensolves = _count_eigensolves(monkeypatch)
+    certificates = _count_certificates(monkeypatch)
     spec = expand_graded(GradedProfile(1.0, 0.5), 3, b_field=0.3)
     parity_report(spec, TargetZ(0.5, -0.5))
-    assert len(eigensolves) == 2
+    assert certificates == ["norm_bound"] * 2  # N=3: q=0 block of dimension 20
     partner = chain_steady_state(spec, TargetZ(-0.5, 0.5))
-    assert partner.certificate.route == "shift_invert"
+    assert partner.certificate.route == "norm_bound"
 
 
 @pytest.mark.parametrize("bath", [TargetZ(0.5, -0.5), TwistedXY(0.5, -0.5)])
 def test_certified_pair_runs_one_eigensolve(monkeypatch, bath):
-    eigensolves = _count_eigensolves(monkeypatch)
+    # one certificate for the pair: the norm bound on the N=4 q=0 block (70),
+    # the eigensolve on the full twisted_xy generator (256)
+    certificates = _count_certificates(monkeypatch)
     spec = expand_graded(GradedProfile(1.0, 0.5), 4)
     assert check_conjugation_identity(spec, bath).max_error <= 1e-12
     parity_report(spec, bath)
-    assert len(eigensolves) == 1
+    assert len(certificates) == 1
 
 
 def test_partner_with_a_small_gap_runs_its_own_certificate(monkeypatch):
