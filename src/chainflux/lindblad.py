@@ -46,54 +46,31 @@ from .pauli import embed, pauli
 # It is historical: the solver is neither dense nor a null-space solve.
 METHOD = "dense_null"
 
-# Shift for the shift-invert uniqueness certificate. A Lindbladian's spectrum
-# lies in Re(lambda) <= 0, so for any real shift s > 0 every zero mode is
-# strictly nearer to s than any other eigenvalue (|lambda - s|^2 >= s^2 +
-# |lambda|^2). A small s keeps the order by |lambda - s| close to the order
-# by |lambda|, so the second eigenvalue found is the spectral gap.
-_CERTIFICATE_SHIFT = 1e-6
-# ARPACK start vector seed: a fixed random start keeps the certificate
-# reproducible and, unlike vec(I), has a component along every zero mode.
+# ARPACK start vector seed: a fixed random start keeps the gap eigensolve
+# reproducible and has a component along every eigenvector.
 _CERTIFICATE_SEED = 20170315
-# Cap on the certificate's ARPACK restarts (maxiter). The borderline chains
-# (N=3..5, both families) need at most about 7; a near-degenerate kernel can
-# stall for thousands, which the cap turns into a prompt NoConvergenceError.
+# Cap on the gap eigensolve's ARPACK restarts (maxiter). A near-degenerate
+# kernel makes the bordered factor nearly singular, so its inverse's largest
+# eigenvalue dominates and converges at once; the cap bounds what is left.
 _CERTIFICATE_MAX_RESTARTS = 50
-# Smallest certified gap |lambda_2| at which a bath-inverted partner gets its
-# state from the bordered solve. Its distance to the shift-invert route grows
-# up to about 2e-16 / |lambda_2| (graded N=3..5 chains, both families: 7e-12
-# at a gap of 4e-6, 5e-8 at 4e-10, 3e-7 at 8e-10), which near the 1e-8
-# conjugation and 1e-9 sign thresholds would flip checks; below this gap the
-# partner is eigensolved. A forward solve accepts the norm bound from its
-# bordered factor only at this value or above, for the same reason.
-_BORDERED_MIN_GAP = 1e-5
 # Largest block (q=0 block or whole generator) whose forward solve is first
-# certified by 1 / ||B^-1||_1 from the bordered factor (``_norm_bound_zero_mode``)
-# rather than by the shift-invert eigensolve. On small blocks ARPACK's own
+# certified by the bound 1 / ||B^-1||_1 from the exact inverse of its bordered
+# factor, rather than by the gap eigensolve. On small blocks ARPACK's own
 # bookkeeping outweighs the m solves of B X = I; on large ones the m solves
-# cost more. Eigensolve against factor and inverse, per solve (graded chains,
-# one BLAS thread, shared 2-core x86_64): m=20 0.82 vs 0.19 ms, m=64 1.85 vs
-# 0.57 ms, m=70 1.64 vs 0.34 ms, but m=252 3.2 vs 4.4 ms, m=256 4.1 vs 6.5 ms.
-# The blocks at N <= 7 have dimension 2, 4, 6, 16, 20, 64, 70, 252, 256, 924,
-# 1024, 3432, 4096 or 16384, so this selects N <= 3 and the N=4 q=0 block.
+# cost more (graded chains, one BLAS thread, shared 2-core x86_64: m=70 3.0
+# against 0.3 ms, but m=252 4.3 against 7.4 ms). The blocks at N <= 7 have
+# dimension 2, 4, 6, 16, 20, 64, 70, 252, 256, 924, 1024, 3432, 4096 or
+# 16384, so this selects N <= 3 and the N=4 q=0 block.
 _NORM_BOUND_MAX_DIM = 128
-# SuperLU options for the one factor of A - shift*I that ARPACK inverts: a
-# minimum-degree ordering of A^T + A with preference for diagonal pivots. On
-# the N=6 generators it cuts the fill of SuperLU's default (COLAMD ordering,
-# full partial pivoting) from 5.3M to 3.3M nonzeros in L + U for twisted_xy
-# and from 0.74M to 0.36M for the full target_z matrix. target_z factorises
-# only its q=0 block (dimension 924 of 4096), which fills 0.09M.
-_FACTOR_OPTIONS = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.1,
+# SuperLU options for the one factor of each solve, of the bordered block B:
+# a minimum-degree ordering of B^T + B with preference for diagonal pivots
+# down to 0.01 of their column. On the N=6 generators it cuts the fill of
+# SuperLU's default (COLAMD ordering, full partial pivoting) from 5.3M to
+# 2.9M nonzeros in L + U for twisted_xy and from 0.74M to 0.36M for the full
+# target_z matrix, of which only the q=0 block (924 of 4096) is factorised:
+# 96K. At a threshold of 0.1 the N=6 target_z block at drive 0.8 filled 130K.
+_FACTOR_OPTIONS = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.01,
                    "options": {"SymmetricMode": True}}
-# The bordered factor (of a bath-inverted partner or a forward block under
-# _NORM_BOUND_MAX_DIM) takes the diagonal pivot down
-# to 0.01 of its column. At 0.1 the unshifted N=6 target_z partner at drive
-# 0.8 filled 130K (its shift-invert factor: 99K), which raised the peak
-# memory of a certification. At 0.01 the partners of the default drive grid
-# fill 96K at N=6 and 1.60M-1.67M at N=7 (shift-invert: 94K-99K and
-# 1.67M-2.05M). The partner solve only runs at a certified gap of at least
-# _BORDERED_MIN_GAP, and its residual is checked.
-_BORDERED_FACTOR_OPTIONS = {**_FACTOR_OPTIONS, "diag_pivot_thresh": 0.01}
 
 
 @dataclass(frozen=True)
@@ -321,13 +298,8 @@ class Liouvillian:
         return [(flat, op.ravel()[flat])
                 for op in (k_eff, *self.jumps) for flat in (np.flatnonzero(op),)]
 
-    def _structure(self, shift: bool, border: bool, q0: bool):
-        """``_pattern`` of this generator's nonzero positions: it sums no value."""
-        flats = tuple(flat.tobytes() for flat, _ in self._nonzeros)
-        return _pattern(self.dim, flats[0], flats[1:], shift, border, q0)
-
-    def _assemble(self, shift: float = 0.0, q0: bool = False, border: bool = False):
-        """CSC matrix of I (x) K + conj(K) (x) I + sum_s conj(L_s) (x) L_s - shift*I,
+    def _assemble(self, q0: bool = False, border: bool = False):
+        """CSC matrix of I (x) K + conj(K) (x) I + sum_s conj(L_s) (x) L_s,
         and the column-stacked indices of its rows and columns: the q=0 ones if
         ``q0`` and no entry couples two sectors of q = S^z(ket) - S^z(bra).
         With ``border`` the trace row vec(I) / d is added to row 0, the index
@@ -336,19 +308,18 @@ class Liouvillian:
         One COO assembly from the nonzeros of the dense factors. Where each
         term goes is ``_pattern``'s, shared by every generator with the same
         nonzero positions. Entries at one position are summed in term order,
-        the shift and the border last, and entries that cancel to exact zero
-        are dropped, as sparse ``kron`` sums would; only then is the q=0
-        restriction decided.
+        the border last, and entries that cancel to exact zero are dropped,
+        as sparse ``kron`` sums would; only then is the q=0 restriction
+        decided.
         """
         d = self.dim
         (_, k_val), *jumps = self._nonzeros
         values = [np.tile(k_val, d), np.repeat(k_val.conj(), d)]
         values += [np.multiply.outer(val.conj(), val).ravel() for _, val in jumps]
-        if shift:
-            values.append(np.full(d * d, -shift, dtype=complex))
         if border:
             values.append(np.full(d, 1.0 / d, dtype=complex))
-        terms, position, indices, indptr, index = self._structure(bool(shift), border, q0)
+        flats = tuple(flat.tobytes() for flat, _ in self._nonzeros)
+        terms, position, indices, indptr, index = _pattern(d, flats[0], flats[1:], border, q0)
         values = np.concatenate(values)
         if terms is not None:  # only these terms land in the q=0 block
             values = values[terms]
@@ -366,16 +337,15 @@ class Liouvillian:
                                        shape=(index.size,) * 2), index
 
 
-# Bound of the assembly-pattern cache. A symmetry certification needs two
-# patterns per chain shape and family (the shifted forward block and the
-# bordered partner block); one holds 0.1 MB at N=6 and 0.45 MB at N=7 for
-# target_z (the q=0 block's terms only), 0.7 MB and 2.9 MB for twisted_xy.
+# Bound of the assembly-pattern cache. A solve needs one pattern per chain
+# shape and family (its bordered block); one holds 0.1 MB at N=6 and 0.45 MB
+# at N=7 for target_z (the q=0 block's terms only), 0.7 MB and 2.9 MB for
+# twisted_xy.
 _PATTERN_CACHE_SIZE = 8
 
 
 @lru_cache(maxsize=_PATTERN_CACHE_SIZE)
-def _pattern(d: int, k_flat: bytes, jump_flats: tuple[bytes, ...], shift: bool,
-             border: bool, q0: bool):
+def _pattern(d: int, k_flat: bytes, jump_flats: tuple[bytes, ...], border: bool, q0: bool):
     """Where each term of a dim-d generator goes, given the row-major flat
     positions (intp bytes) of the nonzeros of its K_eff and of each jump:
     the terms that land in the matrix (None for all of them), the stored
@@ -383,7 +353,7 @@ def _pattern(d: int, k_flat: bytes, jump_flats: tuple[bytes, ...], shift: bool,
     column pointers and the column-stacked index of each row. When no entry
     couples two sectors of q, none does once exact zeros are dropped either,
     so that q=0 restriction is decided here and the other sectors' terms are
-    left out. It depends on those positions and the three flags only, never
+    left out. It depends on those positions and the two flags only, never
     on the values; its arrays are shared, so read-only, and int32 where
     scipy would pick it."""
     size = d * d
@@ -398,8 +368,6 @@ def _pattern(d: int, k_flat: bytes, jump_flats: tuple[bytes, ...], shift: bool,
     for flat in jump_flats:
         row, col = np.divmod(np.frombuffer(flat, dtype=np.intp), d)
         keys.append(kron_key(row, col, row, col))
-    if shift:
-        keys.append(np.arange(size) * (size + 1))
     if border:
         keys.append(ident * (d + 1) * size)  # (row 0, column of rho[i, i])
     key, position = np.unique(np.concatenate(keys), return_inverse=True)
@@ -498,15 +466,16 @@ def require_max_sites(n_sites: int) -> None:
 class Certificate:
     """Why a steady state is unique.
 
-    ``route`` is ``"shift_invert"`` when the state's own generator was
-    eigensolved, ``"norm_bound"`` when its bordered factor B bounded the gap
-    from below, or ``"bath_inversion"`` when an exact product-unitary map
-    carries the generator onto one certified either way, whose certificate
-    it then keeps. ``magnitudes`` are the two eigenvalue magnitudes nearest
-    zero, smallest first: on ``"norm_bound"`` they are 0.0, the exact zero
-    eigenvalue every trace-preserving generator has, and 1 / ||B^-1||_1, a
-    lower bound on the second (no eigenvalue is computed). ``q0`` tells
-    whether they are those of the q=0 block.
+    ``route`` is ``"norm_bound"`` when the exact inverse of the state's
+    bordered factor B bounded the gap from below, ``"eigensolve"`` when an
+    eigensolve of that inverse gave the gap, or ``"bath_inversion"`` when an
+    exact product-unitary map carries the generator onto one certified either
+    way, whose certificate it then keeps. ``magnitudes`` are the two
+    eigenvalue magnitudes nearest zero, smallest first: 0.0, the exact zero
+    eigenvalue every trace-preserving generator has (no route computes it),
+    then the gap |lambda_2| on ``"eigensolve"`` or the lower bound
+    1 / ||B^-1||_1 on it on ``"norm_bound"``. ``q0`` tells whether they are
+    those of the q=0 block.
     """
 
     route: str
@@ -534,28 +503,31 @@ class SteadyState:
 def steady_state(liouv: Liouvillian, certificate: Certificate | None = None) -> SteadyState:
     """Solve for the unique trace-one fixed point of the generator.
 
-    One shift-invert eigensolve of the sparse superoperator, on one
-    minimum-degree-ordered LU factor of A - shift*I, certifies that the
-    kernel is one-dimensional and returns its zero mode. A generator that
-    conserves magnetization weakly (target_z) is solved inside its
-    q = S^z(ket) - S^z(bra) = 0 block, which holds the steady state; the
-    second magnitude a refusal reports is then that sector's gap. An
-    eigensolve that does not converge within ``_CERTIFICATE_MAX_RESTARTS``
-    restarts raises NoConvergenceError.
+    Every generator A preserves the trace, so w^T A = 0 for w = vec(I). The
+    bordered B = A + e_0 w^T / d, the trace row over d added to row 0 (the
+    index of rho[0, 0]), has by Brauer's theorem the spectrum of A with one
+    zero replaced by w_0 / d = 1/d. So B is nonsingular exactly when the
+    kernel is one-dimensional, and B x = e_0 / d gives A x = 0 with tr x = 1.
+    The 1/d keeps the border from outweighing the diagonal in the pivot
+    choice (N=7 target_z at drive 0.8: fill 1.67M, against 1.70M with unit
+    weights). One minimum-degree-ordered LU factor of B gives x, refined by
+    one residual correction: the small pivots put the plain solve up to 1e-13
+    from an extended-precision one, the corrected x within about 7e-16. A
+    generator that conserves magnetization weakly (target_z) is solved inside
+    its q = S^z(ket) - S^z(bra) = 0 block, which holds the steady state; the
+    gap its certificate reports is then that sector's.
 
-    A block of at most ``_NORM_BOUND_MAX_DIM`` rows, decided from its
-    structure before any value is summed, first tries the cheaper norm bound
-    (``_norm_bound_zero_mode``): one bordered factor and its inverse. A bound
-    below ``_BORDERED_MIN_GAP``, a singular factor or a failed check below
-    sends the solve to the eigensolve, so every refusal comes from there.
+    Unless ``certificate`` is given, the same factor certifies the gap
+    (``_gap``); a gap below ``SOLVER.unique_tol``, or an exactly singular
+    factor, is refused as non-unique. A block of at most
+    ``_NORM_BOUND_MAX_DIM`` rows first tries the bound 1 / ||B^-1||_1 <=
+    |lambda_2| of its exact inverse, since every eigenvalue of B is at least
+    that large in magnitude.
 
     ``certificate`` is that of a generator which an exact product-unitary
     map carries onto this one, checked by the caller (``symmetry`` passes the
     bath-inverted partner's). Both then share one spectrum, so this kernel is
-    one-dimensional too, and the zero mode comes from one bordered LU solve
-    in the same sector. If the certified gap is below ``_BORDERED_MIN_GAP``,
-    that factor is singular or the state fails a check below, the full
-    certificate runs instead.
+    one-dimensional too, and the record keeps that certificate.
 
     The zero mode is trace-normalized, Hermitized and checked for its
     residual and validity. A generator on more than ``SOLVER.max_sites``
@@ -568,24 +540,32 @@ def steady_state(liouv: Liouvillian, certificate: Certificate | None = None) -> 
         )
     require_max_sites((liouv.dim - 1).bit_length())  # the qubits a dim x dim state needs
     start = time.perf_counter()
-    try:  # SuperLU raises RuntimeError on an exactly singular factor
-        if certificate is not None:
-            if certificate.magnitudes[1] >= _BORDERED_MIN_GAP:
-                return _finalize(liouv, dataclasses.replace(certificate, route="bath_inversion"),
-                                 _bordered_zero_mode(liouv, certificate.q0), start)
-        # the eigensolve's block size from its cached structure: no value is summed
-        elif liouv._structure(shift=True, border=False, q0=True)[4].size <= _NORM_BOUND_MAX_DIM:
-            bounded = _norm_bound_zero_mode(liouv)
-            if bounded is not None:
-                return _finalize(liouv, *bounded, start)
-    except (RuntimeError, NumericalError):
-        pass
-    return _finalize(liouv, *_zero_mode(liouv), start)
-
-
-def _finalize(liouv: Liouvillian, certificate: Certificate, vector: np.ndarray,
-              start: float) -> SteadyState:
-    """The record of a zero mode, normalized, Hermitized and checked."""
+    bordered, index = liouv._assemble(q0=True, border=True)
+    try:
+        factor = scipy.sparse.linalg.splu(bordered, **_FACTOR_OPTIONS)
+    except RuntimeError:  # SuperLU's "Factor is exactly singular": a gap of zero
+        raise _non_unique(0.0)
+    q0 = index.size < liouv.dim**2
+    if certificate is not None:
+        certificate = dataclasses.replace(certificate, route="bath_inversion")
+    else:
+        bound = 0.0
+        if index.size <= _NORM_BOUND_MAX_DIM:
+            inverse = factor.solve(np.eye(index.size, dtype=complex))
+            bound = 1.0 / np.abs(inverse).sum(axis=0).max()
+        if bound >= SOLVER.unique_tol:
+            certificate = Certificate("norm_bound", (0.0, float(bound)), q0)
+        else:
+            gap = _gap(factor, index, liouv.dim)
+            if not gap >= SOLVER.unique_tol:  # a NaN gap is refused too
+                raise _non_unique(gap)
+            certificate = Certificate("eigensolve", (0.0, gap), q0)
+    rhs = np.zeros(index.size, dtype=complex)
+    rhs[0] = 1.0 / liouv.dim
+    zero_mode = factor.solve(rhs)
+    zero_mode += factor.solve(rhs - bordered @ zero_mode)
+    vector = np.zeros(liouv.dim**2, dtype=complex)
+    vector[index] = zero_mode
     rho = unvectorize(vector)
     tr = np.trace(rho)
     if abs(tr) < SOLVER.trace_floor:
@@ -601,104 +581,49 @@ def _finalize(liouv: Liouvillian, certificate: Certificate, vector: np.ndarray,
     return SteadyState(rho, METHOD, residual, wall_ms, certificate)
 
 
-def _zero_mode(liouv: Liouvillian) -> tuple[Certificate, np.ndarray]:
-    """The shift-invert certificate, with the magnitudes of the two
-    eigenvalues nearest the shift, and the eigenvector of the smallest one,
-    as a full-length vector.
+def _non_unique(gap: float) -> NonUniqueSteadyStateError:
+    return NonUniqueSteadyStateError(
+        f"the two eigenvalues nearest zero have magnitudes {0.0:.3e} and {gap:.3e}, "
+        f"both below {SOLVER.unique_tol:.1e}; the steady state is not unique")
 
-    The eigensolve runs on the shifted q=0 block (then the second magnitude
-    is that sector's gap) or else the whole shifted generator. Refused unless
-    the kernel is one-dimensional and ARPACK converges within the cap.
+
+def _gap(factor, index: np.ndarray, d: int) -> float:
+    """The gap |lambda_2| of the generator block whose bordered factor is
+    ``factor`` (rows ``index`` of a dim-d generator).
+
+    w^T B = w^T / d, so B and B^-1 map trace-zero vectors to trace-zero
+    vectors, and there B acts as A. With P x = x - e_0 (w^T x), which
+    projects onto them (w_0 = 1), the eigenvalues of P B^-1 P are 0 and
+    1 / lambda for every other eigenvalue lambda of A: the largest magnitude
+    is 1 / |lambda_2|. It comes from a standard-mode ARPACK eigensolve of
+    that operator, or a dense eig of the inverse for a block too small for
+    ARPACK (a one-qubit block). An eigensolve that does not converge within
+    ``_CERTIFICATE_MAX_RESTARTS`` restarts raises NoConvergenceError.
     """
-    shifted, index = liouv._assemble(_CERTIFICATE_SHIFT, q0=True)
-    m = shifted.shape[0]
-    k = 2
-    if m <= k + 1:
-        # ARPACK needs k < m - 1: the block of a one-qubit generator gets a dense
-        # eig of its unshifted assembly
-        values, vectors = np.linalg.eig(liouv._assemble(q0=True)[0].toarray())
+    m = index.size
+    trace = np.flatnonzero(index % (d + 1) == 0)  # the rows of the diagonal of rho
+
+    def project(x):
+        x = np.array(x, dtype=complex)
+        x[0] -= x[trace].sum(axis=0)
+        return x
+
+    if m <= 3:  # ARPACK needs k < m - 1
+        projector = project(np.eye(m))
+        values = np.linalg.eigvals(projector @ factor.solve(projector))
     else:
         rng = np.random.default_rng(_CERTIFICATE_SEED)
         v0 = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        factor = scipy.sparse.linalg.splu(shifted, **_FACTOR_OPTIONS)
-        op_inv = scipy.sparse.linalg.LinearOperator(shifted.shape, factor.solve, dtype=complex)
-        try:  # with OPinv given, ARPACK reads only the shape and dtype of the matrix
-            values, vectors = scipy.sparse.linalg.eigs(
-                shifted, k=k, sigma=_CERTIFICATE_SHIFT, v0=v0, OPinv=op_inv,
-                maxiter=_CERTIFICATE_MAX_RESTARTS)
+        op = scipy.sparse.linalg.LinearOperator(
+            (m, m), lambda x: project(factor.solve(project(x))), dtype=complex)
+        try:
+            values = scipy.sparse.linalg.eigs(op, k=1, v0=v0, maxiter=_CERTIFICATE_MAX_RESTARTS,
+                                              return_eigenvectors=False)
         except scipy.sparse.linalg.ArpackNoConvergence as exc:
             raise NoConvergenceError(
-                f"the shift-invert eigensolve converged {len(exc.eigenvalues)} of {k} eigenvalues "
-                f"in {_CERTIFICATE_MAX_RESTARTS} restarts; uniqueness is not certified") from exc
-    order = np.argsort(np.abs(values))[:k]
-    magnitudes = np.abs(values[order])
-    if np.count_nonzero(magnitudes < SOLVER.unique_tol) >= 2:
-        raise NonUniqueSteadyStateError(
-            f"the two eigenvalues nearest zero have magnitudes {magnitudes[0]:.3e} "
-            f"and {magnitudes[1]:.3e}, both below {SOLVER.unique_tol:.1e}; "
-            "the steady state is not unique"
-        )
-    vector = np.zeros(liouv.dim**2, dtype=complex)
-    vector[index] = vectors[:, order[0]]
-    certificate = Certificate("shift_invert", (float(magnitudes[0]), float(magnitudes[1])),
-                              index.size < vector.size)
-    return certificate, vector
-
-
-def _norm_bound_zero_mode(liouv: Liouvillian) -> tuple[Certificate, np.ndarray] | None:
-    """The norm-bound certificate and the trace-one zero mode, as a
-    full-length vector, from one bordered factor of the generator's q=0
-    block (or the whole generator): None if the bound is below
-    ``_BORDERED_MIN_GAP``, and SuperLU's RuntimeError if B is exactly
-    singular.
-
-    B = A + e_0 w^T / d with w = vec(I) and w^T A = 0 (see
-    ``_bordered_zero_mode``). By Brauer's theorem spec(B) is spec(A) with one
-    zero replaced by w_0 / d = 1/d, and every eigenvalue mu of B has |mu| >=
-    1 / ||B^-1||_1, so 1 / ||B^-1||_1 <= |lambda_2| for the generator's (or
-    the q=0 block's) second eigenvalue: at least that bound certifies that
-    the kernel is one-dimensional. B X = I gives X = B^-1 and, in its first
-    column over d, the zero mode x, which one residual correction x += X (e_0
-    / d - B x) refines: the factor's small pivots put x up to 1e-13 from an
-    extended-precision solve (300 random chains under the cap; 8.6e-16 for
-    the N=4 target_z chain at drive 0.8, whose eigenvector is 1.6e-16 off),
-    and after the correction it is at most 4.6e-16 off.
-    """
-    bordered, index = liouv._assemble(q0=True, border=True)
-    inverse = scipy.sparse.linalg.splu(bordered, **_BORDERED_FACTOR_OPTIONS).solve(
-        np.eye(index.size, dtype=complex))
-    bound = 1.0 / np.abs(inverse).sum(axis=0).max()
-    if not bound >= _BORDERED_MIN_GAP:  # a NaN bound is refused too
-        return None
-    zero_mode = inverse[:, 0] / liouv.dim
-    residual = -(bordered @ zero_mode)
-    residual[0] += 1.0 / liouv.dim
-    vector = np.zeros(liouv.dim**2, dtype=complex)
-    vector[index] = zero_mode + inverse @ residual
-    # the first magnitude is the exact zero eigenvalue w^T A = 0 guarantees:
-    # this route computes no eigenvalue, and its second magnitude is a bound
-    return Certificate("norm_bound", (0.0, float(bound)), index.size < vector.size), vector
-
-
-def _bordered_zero_mode(liouv: Liouvillian, q0: bool) -> np.ndarray:
-    """The trace-one zero mode of a generator A whose kernel is known to be
-    one-dimensional, from one LU solve, as a full-length vector.
-
-    Every generator preserves the trace, so w^T A = 0 for w = vec(I). Then
-    B = A + e_0 w^T / d, the trace row over d added to row 0 (rho[0, 0]), is
-    nonsingular exactly when the kernel is one-dimensional, and B x = e_0 / d
-    gives A x = 0 with tr x = 1. The 1/d keeps the border from outweighing
-    the diagonal in the pivot choice (N=7 target_z partner at drive 0.8: fill
-    1.67M, against 1.70M with unit weights). ``q0`` solves inside the q=0
-    block, as the certificate did. SuperLU raises RuntimeError on an exactly
-    singular B.
-    """
-    bordered, index = liouv._assemble(q0=q0, border=True)
-    rhs = np.zeros(index.size, dtype=complex)
-    rhs[0] = 1.0 / liouv.dim
-    vector = np.zeros(liouv.dim**2, dtype=complex)
-    vector[index] = scipy.sparse.linalg.splu(bordered, **_BORDERED_FACTOR_OPTIONS).solve(rhs)
-    return vector
+                f"the gap eigensolve did not converge in {_CERTIFICATE_MAX_RESTARTS} restarts; "
+                "uniqueness is not certified") from exc
+    return float(1.0 / np.abs(values).max())
 
 
 def expectation(rho: np.ndarray, obs: np.ndarray) -> float:

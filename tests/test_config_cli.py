@@ -7,7 +7,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg
 
 import chainflux
 import chainflux.cli as cli
@@ -418,33 +417,20 @@ def test_cmd_symmetry_method_column_is_the_resolved_solver(tmp_path, monkeypatch
     assert len(solves) == 6
 
 
-def _count_eigensolves(monkeypatch):
-    """Record the ARPACK calls, with an empty solve cache."""
-    lindblad._cached_chain_steady_state.cache_clear()
-    calls = []
-    eigs = scipy.sparse.linalg.eigs
-
-    def counting(*args, **kwargs):
-        calls.append(args[0].shape)
-        return eigs(*args, **kwargs)
-
-    monkeypatch.setattr(scipy.sparse.linalg, "eigs", counting)
-    return calls
-
-
 def _count_certificates(monkeypatch):
-    """Record the route of each certificate a solve issues (the eigensolve's
-    or the norm bound's; a refused norm bound issues none), with an empty
-    solve cache."""
+    """Record the route of each certificate a solve issues (a partner solved
+    with the forward certificate issues none), with an empty solve cache."""
     lindblad._cached_chain_steady_state.cache_clear()
     routes = []
-    for name in ("_zero_mode", "_norm_bound_zero_mode"):
-        def recording(liouv, original=getattr(lindblad, name)):
-            issued = original(liouv)
-            if issued is not None:
-                routes.append(issued[0].route)
-            return issued
-        monkeypatch.setattr(lindblad, name, recording)
+    solve = lindblad.steady_state
+
+    def recording(liouv, certificate=None):
+        solved = solve(liouv, certificate=certificate)
+        if certificate is None:
+            routes.append(solved.certificate.route)
+        return solved
+
+    monkeypatch.setattr(lindblad, "steady_state", recording)
     return routes
 
 
@@ -463,7 +449,7 @@ def test_cmd_symmetry_certifies_each_pair_once(tmp_path, monkeypatch, bath, cert
     assert main(["symmetry", "--config", str(config)]) == 0
     # the N=4 q=0 block (70) is certified by the norm bound, the full
     # twisted_xy generator (256) by the eigensolve
-    route = "norm_bound" if bath["family"] == "target_z" else "shift_invert"
+    route = "norm_bound" if bath["family"] == "target_z" else "eigensolve"
     assert routes == [route] * certificates
     _, _, rows = _read_csv(tmp_path / "sym.csv")
     assert all(r["passed"] == "true" for r in rows)
@@ -486,7 +472,7 @@ def test_cmd_symmetry_table_does_not_depend_on_the_solve_history(tmp_path, monke
     assert main(["symmetry", "--config", str(symmetry)]) == 0
     cold = table()
     lindblad._cached_chain_steady_state.cache_clear()
-    # the inverted bath's own shift-invert record is cached first
+    # the inverted bath's record with its own certificate is cached first
     assert main(["steady", "--config", str(inverted)]) == 0
     assert main(["symmetry", "--config", str(symmetry)]) == 0
     assert table() == cold
@@ -585,7 +571,7 @@ def test_cmd_sweep_in_threads_from_cold_caches_equals_one_thread(tmp_path):
 
 def test_cmd_symmetry_refuses_a_decoupled_chain_with_the_forward_certificate(tmp_path, capsys,
                                                                           monkeypatch):
-    calls = _count_eigensolves(monkeypatch)
+    solves = _count_calls(monkeypatch, "steady_state")
     config = _write_config(tmp_path, "c.json", {
         "model": {**GRADED_MODEL, "alpha": 0.0},
         "bath": {"family": "target_z", "f": 0.5},
@@ -594,7 +580,7 @@ def test_cmd_symmetry_refuses_a_decoupled_chain_with_the_forward_certificate(tmp
     assert main(["symmetry", "--config", str(config)]) == 1
     assert re.search(r"solver error: the two eigenvalues nearest zero have magnitudes \S+ "
                      r"and \S+", capsys.readouterr().err)
-    assert len(calls) == 1  # the forward solve refused; no partner was solved
+    assert len(solves) == 1  # the forward solve refused; no partner was solved
     assert not (tmp_path / "sym.csv").exists()
 
 
@@ -875,8 +861,9 @@ def test_ci_smoke_configs_run(tmp_path, command, name):
 
 
 def test_ci_unconverged_certificate_is_a_clean_solver_error(tmp_path):
-    # the CLI in a process of its own, as the CI step runs it: exit 1 with a
-    # message and no traceback
+    # the CLI in a process of its own, as the CI step runs it: the chain that
+    # stalled a shift-invert eigensolve is refused as non-unique, exit 1 with
+    # a message and no traceback
     config = Path(__file__).parent / "configs" / "steady_n4_unconverged.json"
     src = str(Path(chainflux.__file__).parents[1])
     done = subprocess.run(
@@ -886,7 +873,9 @@ def test_ci_unconverged_certificate_is_a_clean_solver_error(tmp_path):
         env={**os.environ,
              "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))})
     assert done.returncode == 1
-    assert "chainflux: solver error: the shift-invert eigensolve converged" in done.stderr
+    assert re.fullmatch(r"chainflux: solver error: the two eigenvalues nearest zero have "
+                        r"magnitudes 0\.000e\+00 and \S+, both below 1\.0e-10; the steady "
+                        r"state is not unique\n", done.stderr)
     assert "Traceback" not in done.stderr
     assert not (tmp_path / "out.csv").exists()
 
