@@ -18,7 +18,7 @@ import dataclasses
 import math
 import time
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import ClassVar, Sequence
 
 import numpy as np
@@ -62,14 +62,16 @@ _CERTIFICATE_MAX_RESTARTS = 50
 # dimension 2, 4, 6, 16, 20, 64, 70, 252, 256, 924, 1024, 3432, 4096 or
 # 16384, so this selects N <= 3 and the N=4 q=0 block.
 _NORM_BOUND_MAX_DIM = 128
-# SuperLU options for the one factor of each solve, of the bordered block B:
-# a minimum-degree ordering of B^T + B with preference for diagonal pivots
-# down to 0.01 of their column. On the N=6 generators it cuts the fill of
-# SuperLU's default (COLAMD ordering, full partial pivoting) from 5.3M to
-# 2.9M nonzeros in L + U for twisted_xy and from 0.74M to 0.36M for the full
-# target_z matrix, of which only the q=0 block (924 of 4096) is factorised:
-# 96K. At a threshold of 0.1 the N=6 target_z block at drive 0.8 filled 130K.
-_FACTOR_OPTIONS = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.01,
+# SuperLU options for the one factor of each solve, of the bordered block B.
+# B is assembled already in the minimum-degree order of B^T + B
+# (``_fill_reducing_order``), so the factor keeps it (NATURAL) and prefers
+# diagonal pivots down to 0.01 of their column. On the N=6 generators this
+# cuts the fill of SuperLU's default (COLAMD ordering, full partial pivoting)
+# from 5.3M to 2.9M nonzeros in L + U for twisted_xy and from 0.74M to 0.36M
+# for the full target_z matrix, of which only the q=0 block (924 of 4096) is
+# factorised: 96K. At a threshold of 0.1 the N=6 target_z block at drive 0.8
+# filled 130K.
+_FACTOR_OPTIONS = {"permc_spec": "NATURAL", "diag_pivot_thresh": 0.01,
                    "options": {"SymmetricMode": True}}
 
 
@@ -300,17 +302,20 @@ class Liouvillian:
 
     def _assemble(self, q0: bool = False, border: bool = False):
         """CSC matrix of I (x) K + conj(K) (x) I + sum_s conj(L_s) (x) L_s,
-        and the column-stacked indices of its rows and columns: the q=0 ones if
-        ``q0`` and no entry couples two sectors of q = S^z(ket) - S^z(bra).
-        With ``border`` the trace row vec(I) / d is added to row 0, the index
-        of rho[0, 0], which is row 0 of the q=0 block too.
+        and the column-stacked index of each of its rows (and columns): the
+        q=0 ones if ``q0`` and no entry couples two sectors of
+        q = S^z(ket) - S^z(bra). With ``border`` the trace row vec(I) / d is
+        added to the row of rho[0, 0] (index 0), and the rows and columns are
+        laid out in the fill-reducing order of that bordered block
+        (``_fill_reducing_order``); otherwise in index order.
 
         One COO assembly from the nonzeros of the dense factors. Where each
         term goes is ``_pattern``'s, shared by every generator with the same
         nonzero positions. Entries at one position are summed in term order,
         the border last, and entries that cancel to exact zero are dropped,
         as sparse ``kron`` sums would; only then is the q=0 restriction
-        decided.
+        decided, and the order found. That layout is cached with the pattern,
+        under which of its entries are kept.
         """
         d = self.dim
         (_, k_val), *jumps = self._nonzeros
@@ -319,43 +324,44 @@ class Liouvillian:
         if border:
             values.append(np.full(d, 1.0 / d, dtype=complex))
         flats = tuple(flat.tobytes() for flat, _ in self._nonzeros)
-        terms, position, indices, indptr, index = _pattern(d, flats[0], flats[1:], border, q0)
+        terms, position, entries, layout = _pattern(d, flats[0], flats[1:], border, q0)
         values = np.concatenate(values)
         if terms is not None:  # only these terms land in the q=0 block
             values = values[terms]
         # bincount adds in term order, one by one, as np.add.at would
-        total = np.empty(indices.size, dtype=complex)
-        total.real = np.bincount(position, values.real, indices.size)
-        total.imag = np.bincount(position, values.imag, indices.size)
+        total = np.empty(entries, dtype=complex)
+        total.real = np.bincount(position, values.real, entries)
+        total.imag = np.bincount(position, values.imag, entries)
         keep = total != 0
-        if not keep.all():  # a sum cancelled: lay out the remaining entries afresh
-            kept = np.flatnonzero(keep)
-            row, col = index[indices[kept]], np.repeat(index, np.diff(indptr))[kept]
-            take, indices, indptr, index = _layout(col * d * d + row, d, q0)
-            total = total[kept][take]
-        return scipy.sparse.csc_matrix((total, indices, indptr),
+        take, indices, indptr, index = layout(None if keep.all() else keep.tobytes())
+        return scipy.sparse.csc_matrix((total[take], indices, indptr),
                                        shape=(index.size,) * 2), index
 
 
 # Bound of the assembly-pattern cache. A solve needs one pattern per chain
 # shape and family (its bordered block); one holds 0.1 MB at N=6 and 0.45 MB
 # at N=7 for target_z (the q=0 block's terms only), 0.7 MB and 2.9 MB for
-# twisted_xy.
+# twisted_xy, plus its layouts. Each pattern keeps the layouts of its last
+# two kept masks: a family's entries cancel in the same places at every
+# drive (twisted_xy's, at N=4, 512 of 2573), so one mask is the common case,
+# and the second keeps values that happen to cancel more entries on the same
+# positions from evicting it.
 _PATTERN_CACHE_SIZE = 8
+_LAYOUTS_PER_PATTERN = 2
 
 
 @lru_cache(maxsize=_PATTERN_CACHE_SIZE)
 def _pattern(d: int, k_flat: bytes, jump_flats: tuple[bytes, ...], border: bool, q0: bool):
     """Where each term of a dim-d generator goes, given the row-major flat
     positions (intp bytes) of the nonzeros of its K_eff and of each jump:
-    the terms that land in the matrix (None for all of them), the stored
-    entry of each such term in CSC order, and the matrix's row indices,
-    column pointers and the column-stacked index of each row. When no entry
-    couples two sectors of q, none does once exact zeros are dropped either,
-    so that q=0 restriction is decided here and the other sectors' terms are
-    left out. It depends on those positions and the two flags only, never
-    on the values; its arrays are shared, so read-only, and int32 where
-    scipy would pick it."""
+    the terms that land in the matrix (None for all of them), the entry each
+    such term is summed into, the number of entries, and the matrix's
+    ``_layout`` as a function of the kept mask (its bytes, or None when
+    every entry is kept), cached per mask. When no entry couples two sectors
+    of q, none does once exact zeros are dropped either, so that q=0
+    restriction is decided here and the other sectors' terms are left out.
+    It depends on those positions and the two flags only, never on the
+    values; its arrays are shared, so read-only."""
     size = d * d
     ident = np.arange(d)  # the identity's nonzeros sit at (i, i)
 
@@ -371,41 +377,82 @@ def _pattern(d: int, k_flat: bytes, jump_flats: tuple[bytes, ...], border: bool,
     if border:
         keys.append(ident * (d + 1) * size)  # (row 0, column of rho[i, i])
     key, position = np.unique(np.concatenate(keys), return_inverse=True)
-    take, indices, indptr, index = _layout(key, d, q0)
-    terms = None
-    if not isinstance(take, slice):  # restricted: keep the terms of the q=0 entries
+    terms, inside = None, _q0_entries(key % size, key // size, _charges(d), q0)
+    if inside is not None:  # restricted: keep the terms of the q=0 entries
         entry = np.full(key.size, -1)
-        entry[take] = np.arange(take.size)
+        entry[inside] = np.arange(inside.size)
         terms = _read_only(np.flatnonzero(entry[position] >= 0).astype(np.int32))
-        position = entry[position[terms]]
-    return (terms, _read_only(position.astype(np.int32)), _read_only(indices),
-            _read_only(indptr), _read_only(index))
+        key, position = key[inside], entry[position[terms]]
+    layout = lru_cache(maxsize=_LAYOUTS_PER_PATTERN)(
+        partial(_layout, _read_only(key), d, q0, border))
+    return terms, _read_only(position.astype(np.int32)), key.size, layout
 
 
-def _layout(key: np.ndarray, d: int, q0: bool):
-    """The CSC layout of a matrix with entries at the sorted column-major
-    positions ``key`` of d^2 x d^2: which of them it stores, their row
-    indices, its column pointers and the column-stacked index of each of its
-    rows. With ``q0`` and no entry coupling two sectors of q, only the q=0
-    rows and columns are kept."""
-    size = d * d
-    row, col, index, take = key % size, key // size, np.arange(size), slice(None)
+def _charges(d: int) -> np.ndarray:
+    """q of each column-stacked index of a dim-d state: the flipped spins of
+    its ket minus those of its bra, which is q up to its sign."""
     ident = np.arange(d)
-    ones = sum((ident >> bit) & 1 for bit in range(d.bit_length()))  # flipped spins
-    charge = np.tile(ones, d) - np.repeat(ones, d)  # q of each column-stacked index
-    if q0 and np.array_equal(charge[row], charge[col]):
-        # a weak U(1) symmetry (target_z, with or without a field): the
-        # steady state lies in q=0, and the kernel is one-dimensional
-        # exactly when the q=0 block's kernel is, since the U(1) action
-        # maps the stationary states onto themselves (Albert & Jiang,
-        # PRA 89, 022118 (2014))
-        take, index = np.flatnonzero(charge[col] == 0), np.flatnonzero(charge == 0)
-        rank = np.cumsum(charge == 0) - 1  # block position of each q=0 index
-        row, col = rank[row[take]], rank[col[take]]
+    ones = sum((ident >> bit) & 1 for bit in range(d.bit_length()))
+    return np.tile(ones, d) - np.repeat(ones, d)
+
+
+def _q0_entries(row: np.ndarray, col: np.ndarray, charges: np.ndarray, q0: bool):
+    """Which of the entries at (row, col) lie in the q=0 block, if ``q0`` and
+    none couples two sectors of q; else None."""
+    if not (q0 and np.array_equal(charges[row], charges[col])):
+        return None
+    # a weak U(1) symmetry (target_z, with or without a field): the steady
+    # state lies in q=0, and the kernel is one-dimensional exactly when the
+    # q=0 block's kernel is, since the U(1) action maps the stationary states
+    # onto themselves (Albert & Jiang, PRA 89, 022118 (2014))
+    return np.flatnonzero(charges[col] == 0)
+
+
+def _layout(key: np.ndarray, d: int, q0: bool, border: bool, kept: bytes | None):
+    """The CSC layout of the matrix whose entries are those at the sorted
+    column-major positions ``key`` of d^2 x d^2 that the bool mask ``kept``
+    marks (all if None), restricted to q=0 as ``_q0_entries`` decides: which
+    entry of ``key`` each stored entry is, the row indices, the column
+    pointers and the column-stacked index of each row. With ``border`` the
+    rows and columns are in ``_fill_reducing_order``, but the rows of each
+    column stay in index order: SuperLU visits them in the order stored, so
+    among equal pivot candidates it picks the ones it picks when it orders
+    the block in index order itself, and fills as much. Otherwise all is in
+    index order. Its
+    arrays are shared, so read-only, and int32 where scipy would pick it, so
+    a csc_matrix takes them without a copy."""
+    size, charges = d * d, _charges(d)
+    take = np.arange(key.size) if kept is None else np.flatnonzero(np.frombuffer(kept, bool))
+    row, col, index = key[take] % size, key[take] // size, np.arange(size)
+    inside = _q0_entries(row, col, charges, q0)
+    if inside is not None:
+        rank = np.cumsum(charges == 0) - 1  # block position of each q=0 index
+        take, row, col = take[inside], rank[row[inside]], rank[col[inside]]
+        index = np.flatnonzero(charges == 0)
+    if border:
+        order = _fill_reducing_order(row, col, index.size)
+        rank = np.argsort(order)  # position of each row and column in that order
+        entry = np.lexsort((row, rank[col]))
+        take, row, col, index = take[entry], rank[row[entry]], rank[col[entry]], index[order]
     indptr = np.searchsorted(col, np.arange(index.size + 1))
-    # int32 is the index type scipy picks at these sizes, so a csc_matrix
-    # takes the shared arrays without a copy
-    return take, row.astype(np.int32), indptr.astype(np.int32), index
+    return (_read_only(take.astype(np.int32)), _read_only(row.astype(np.int32)),
+            _read_only(indptr.astype(np.int32)), _read_only(index))
+
+
+def _fill_reducing_order(row: np.ndarray, col: np.ndarray, m: int) -> np.ndarray:
+    """SuperLU's minimum-degree order of B^T + B for an m x m matrix B with
+    entries at (row, col): the rows and columns of B in the order in which
+    ``splu(B, permc_spec="MMD_AT_PLUS_A")`` in symmetric mode would take its
+    columns. Like that order, it depends on the positions only. It is read
+    off an incomplete factor that drops every entry it may, of unit entries
+    under a diagonal of m, which no pivot choice can make singular; the
+    ordering is most of that factor's cost."""
+    unit = scipy.sparse.csc_matrix((np.ones(row.size), (row, col)), shape=(m, m))
+    dominant = unit + m * scipy.sparse.identity(m, format="csc")
+    factor = scipy.sparse.linalg.spilu(dominant, drop_tol=np.inf, fill_factor=1,
+                                       permc_spec="MMD_AT_PLUS_A",
+                                       options={"SymmetricMode": True})
+    return np.argsort(factor.perm_c)
 
 
 def build_liouvillian(hamiltonian: np.ndarray, jumps: Sequence[np.ndarray]) -> Liouvillian:
@@ -489,8 +536,9 @@ class SteadyState:
 
     ``method`` names the solver (always ``METHOD``), ``residual`` is the
     sup-norm of the generator applied to ``rho``, ``wall_ms`` the wall time
-    of the solve through its validation, and ``certificate`` the evidence
-    that the kernel is one-dimensional.
+    of the solve through its validation, ``certificate`` the evidence that
+    the kernel is one-dimensional, and ``fill`` the entries SuperLU stores
+    for the LU factor of the bordered block (its ``nnz``).
     """
 
     rho: np.ndarray
@@ -498,21 +546,27 @@ class SteadyState:
     residual: float
     wall_ms: float
     certificate: Certificate
+    fill: int
 
 
 def steady_state(liouv: Liouvillian, certificate: Certificate | None = None) -> SteadyState:
     """Solve for the unique trace-one fixed point of the generator.
 
     Every generator A preserves the trace, so w^T A = 0 for w = vec(I). The
-    bordered B = A + e_0 w^T / d, the trace row over d added to row 0 (the
-    index of rho[0, 0]), has by Brauer's theorem the spectrum of A with one
-    zero replaced by w_0 / d = 1/d. So B is nonsingular exactly when the
-    kernel is one-dimensional, and B x = e_0 / d gives A x = 0 with tr x = 1.
-    The 1/d keeps the border from outweighing the diagonal in the pivot
-    choice (N=7 target_z at drive 0.8: fill 1.67M, against 1.70M with unit
-    weights). One minimum-degree-ordered LU factor of B gives x, refined by
-    one residual correction: the small pivots put the plain solve up to 1e-13
-    from an extended-precision one, the corrected x within about 7e-16. A
+    bordered B = A + e_0 w^T / d, the trace row over d added to the row e_0
+    of rho[0, 0] (where ``index`` is 0), has by Brauer's theorem the
+    spectrum of A with one zero replaced by w_0 / d = 1/d. So B is
+    nonsingular exactly when the kernel is one-dimensional, and B x = e_0 / d
+    gives A x = 0 with tr x = 1. The 1/d keeps the border from outweighing
+    the diagonal in the pivot choice (N=7 target_z at drive 0.8: fill 1.67M,
+    against 1.70M with unit weights). B is assembled in the minimum-degree
+    order of its structure, which is cached with it, and one LU factor of it
+    in that order gives x, refined by one correction against the residual
+    e_0 / d - B x summed in extended precision (clongdouble). The small
+    pivots put the plain solve up to 1e-13 from an extended-precision one;
+    a residual summed in double left the corrected x within about 2e-15, in
+    an amount that hung on the order the entries were summed in, while this
+    one leaves it within rounding (6e-17 on 600 random chains of N <= 4). A
     generator that conserves magnetization weakly (target_z) is solved inside
     its q = S^z(ket) - S^z(bra) = 0 block, which holds the steady state; the
     gap its certificate reports is then that sector's.
@@ -542,7 +596,7 @@ def steady_state(liouv: Liouvillian, certificate: Certificate | None = None) -> 
     start = time.perf_counter()
     bordered, index = liouv._assemble(q0=True, border=True)
     try:
-        factor = scipy.sparse.linalg.splu(bordered, **_FACTOR_OPTIONS)
+        factor = _factor(bordered)
     except RuntimeError:  # SuperLU's "Factor is exactly singular": a gap of zero
         raise _non_unique(0.0)
     q0 = index.size < liouv.dim**2
@@ -561,9 +615,14 @@ def steady_state(liouv: Liouvillian, certificate: Certificate | None = None) -> 
                 raise _non_unique(gap)
             certificate = Certificate("eigensolve", (0.0, gap), q0)
     rhs = np.zeros(index.size, dtype=complex)
-    rhs[0] = 1.0 / liouv.dim
+    rhs[index == 0] = 1.0 / liouv.dim  # e_0 / d
     zero_mode = factor.solve(rhs)
-    zero_mode += factor.solve(rhs - bordered @ zero_mode)
+    # e_0 / d - B x, each product and sum in extended precision
+    products = bordered.data.astype(np.clongdouble) * np.repeat(zero_mode,
+                                                                np.diff(bordered.indptr))
+    misfit = rhs.astype(np.clongdouble)
+    np.subtract.at(misfit, bordered.indices, products)
+    zero_mode += factor.solve(misfit.astype(complex))
     vector = np.zeros(liouv.dim**2, dtype=complex)
     vector[index] = zero_mode
     rho = unvectorize(vector)
@@ -578,7 +637,19 @@ def steady_state(liouv: Liouvillian, certificate: Certificate | None = None) -> 
             f"steady-state residual {residual:.3e} exceeds {SOLVER.residual_tol:.1e}")
     validate_state(rho)
     wall_ms = round((time.perf_counter() - start) * 1e3, 3)
-    return SteadyState(rho, METHOD, residual, wall_ms, certificate)
+    return SteadyState(rho, METHOD, residual, wall_ms, certificate, factor.nnz)
+
+
+def _factor(bordered: scipy.sparse.csc_matrix):
+    """The LU factor of a bordered block from ``_assemble``, which visits the
+    rows of each column in the order they are stored (``_layout``). splu
+    sorts them first unless the matrix is flagged as canonical (sorted, no
+    duplicates); the block has no duplicates, and its rows are in the order
+    wanted, so a view of it flagged so is factorised."""
+    as_stored = scipy.sparse.csc_matrix((bordered.data, bordered.indices, bordered.indptr),
+                                        shape=bordered.shape)
+    as_stored.has_canonical_format = True
+    return scipy.sparse.linalg.splu(as_stored, **_FACTOR_OPTIONS)
 
 
 def _non_unique(gap: float) -> NonUniqueSteadyStateError:
@@ -592,20 +663,22 @@ def _gap(factor, index: np.ndarray, d: int) -> float:
     ``factor`` (rows ``index`` of a dim-d generator).
 
     w^T B = w^T / d, so B and B^-1 map trace-zero vectors to trace-zero
-    vectors, and there B acts as A. With P x = x - e_0 (w^T x), which
-    projects onto them (w_0 = 1), the eigenvalues of P B^-1 P are 0 and
-    1 / lambda for every other eigenvalue lambda of A: the largest magnitude
-    is 1 / |lambda_2|. It comes from a standard-mode ARPACK eigensolve of
-    that operator, or a dense eig of the inverse for a block too small for
-    ARPACK (a one-qubit block). An eigensolve that does not converge within
+    vectors, and there B acts as A. With P x = x - e_0 (w^T x), e_0 the
+    border row (where ``index`` is 0), which projects onto them (w_0 = 1),
+    the eigenvalues of P B^-1 P are 0 and 1 / lambda for every other
+    eigenvalue lambda of A: the largest magnitude is 1 / |lambda_2|. It
+    comes from a standard-mode ARPACK eigensolve of that operator, or a
+    dense eig of the inverse for a block too small for ARPACK (a one-qubit
+    block). An eigensolve that does not converge within
     ``_CERTIFICATE_MAX_RESTARTS`` restarts raises NoConvergenceError.
     """
     m = index.size
     trace = np.flatnonzero(index % (d + 1) == 0)  # the rows of the diagonal of rho
+    border, = np.flatnonzero(index == 0)
 
     def project(x):
         x = np.array(x, dtype=complex)
-        x[0] -= x[trace].sum(axis=0)
+        x[border] -= x[trace].sum(axis=0)
         return x
 
     if m <= 3:  # ARPACK needs k < m - 1

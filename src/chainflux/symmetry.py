@@ -81,18 +81,13 @@ def inversion_map_holds(spec: ChainSpec, diss: DissipatorSpec) -> bool:
     u is the same 2x2 unitary p on every site, so this is checked per local
     term, bitwise: p (x) p leaves both bond strings XX+YY and ZZ unchanged
     (then u H u^dag == H for any alpha and delta), p leaves Z unchanged if
-    any field is nonzero, and the jumps' 2x2 factors match site by site. No
-    2^N x 2^N operator is built. u's entries are unit phases, so each
-    conjugation is exact."""
-    p = pauli(diss.conjugation_axis)
-    if spec.delta:  # a chain of two or more sites has bond terms
-        conjugate_bond = _conjugation(kron_chain([p, p]))
-        if not all(np.array_equal(conjugate_bond(string), string)
-                   for string in (_string("xx") + _string("yy"), _string("zz"))):
-            return False
-    conjugate = _conjugation(p)
-    z = pauli("z")
-    if any(b != 0.0 for b in spec.b_field) and not np.array_equal(conjugate(z), z):
+    any field is nonzero (both facts of the axis alone, ``_axis_facts``),
+    and the jumps' 2x2 factors match site by site. No 2^N x 2^N operator is
+    built. u's entries are unit phases, so each conjugation is exact."""
+    bonds_kept, z_kept, conjugate = _axis_facts(diss.conjugation_axis)
+    if spec.delta and not bonds_kept:  # a chain of two or more sites has bond terms
+        return False
+    if any(b != 0.0 for b in spec.b_field) and not z_kept:
         return False
     images = Counter((site, _phase_class(conjugate(factor)))
                      for site, factor in jump_factors(diss, spec.n_sites) if factor.any())
@@ -100,6 +95,18 @@ def inversion_map_holds(spec: ChainSpec, diss: DissipatorSpec) -> bool:
                       for site, factor in jump_factors(diss.inverted(), spec.n_sites)
                       if factor.any())
     return images == targets
+
+
+@lru_cache(maxsize=None)  # one entry per conjugation axis
+def _axis_facts(axis: str):
+    """For p = pauli(axis): whether p (x) p leaves both bond strings XX+YY
+    and ZZ unchanged, whether p leaves Z unchanged, and conjugation by p."""
+    p = pauli(axis)
+    conjugate_bond = _conjugation(kron_chain([p, p]))
+    bonds_kept = all(np.array_equal(conjugate_bond(string), string)
+                     for string in (_string("xx") + _string("yy"), _string("zz")))
+    conjugate, z = _conjugation(p), pauli("z")
+    return bonds_kept, np.array_equal(conjugate(z), z), conjugate
 
 
 # The map verdicts of recent pairs, so that a certification checks each

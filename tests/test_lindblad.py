@@ -230,8 +230,9 @@ def test_matrix_equals_sparse_kron_sum_entrywise(n_sites, diss):
 
 def test_zero_mode_factorises_once_per_solve(monkeypatch):
     # every solve, forward or bath-inverted partner, assembles one bordered
-    # block and factorises it once with the one set of options; only the
-    # forward solve above the cap (N=4 twisted_xy, 256 rows) runs an eigensolve
+    # block and factorises it once with the one set of options, in the order
+    # it is assembled in; only the forward solve above the cap (N=4
+    # twisted_xy, 256 rows) runs an eigensolve
     assemblies, factorisations, eigensolves = [], [], []
     assemble = lindblad.Liouvillian._assemble
     splu, eigs = scipy.sparse.linalg.splu, scipy.sparse.linalg.eigs
@@ -249,7 +250,7 @@ def test_zero_mode_factorises_once_per_solve(monkeypatch):
         assert len(factorisations) == 2 * solves
     assert assemblies == [((), {"q0": True, "border": True})] * 4
     assert factorisations == [lindblad._FACTOR_OPTIONS] * 4
-    assert factorisations[0]["permc_spec"] == "MMD_AT_PLUS_A"
+    assert factorisations[0]["permc_spec"] == "NATURAL"
     assert len(eigensolves) == 1
 
 
@@ -293,6 +294,18 @@ def _sliced_solve_block(matrix, border):
     return (block + trace_row).tocsc(), index
 
 
+def _in_block_order(reference, reference_index, index):
+    """A block in index order (rows and columns ``reference_index``) permuted
+    symmetrically into the order of ``index``, which must hold the same
+    indices, with the rows of each column kept in index order, as the solve
+    block stores them."""
+    order = np.searchsorted(reference_index, index)
+    assert np.array_equal(reference_index[order], index)
+    columns = reference.tocsc()[:, order]
+    return scipy.sparse.csc_matrix((columns.data, np.argsort(order)[columns.indices],
+                                    columns.indptr), shape=columns.shape)
+
+
 @pytest.mark.parametrize("n_sites", range(1, 7))
 @pytest.mark.parametrize("diss", [TargetZ(1.0, -1.0), TargetZ(-1.0, 1.0), TargetZ(0.0, 0.0),
                                   TwistedXY(1.0, -1.0), TwistedXY(-1.0, 1.0), TwistedXY(0.0, 0.0)],
@@ -305,7 +318,9 @@ def test_solve_block_is_the_q0_slice_of_the_matrix(n_sites, diss):
         block, index = liouv._assemble(q0=True, border=border)
         assert "matrix" not in vars(liouv)  # the solve block is assembled on its own
         reference, reference_index = _sliced_solve_block(liouv.matrix, border)
-        assert np.array_equal(index, reference_index)
+        # the bordered block is in its fill-reducing order, the other in index order
+        assert np.array_equal(np.sort(index) if border else index, reference_index)
+        reference = _in_block_order(reference, reference_index, index)
         assert block.format == "csc" and block.shape == reference.shape
         assert np.array_equal(block.indptr, reference.indptr)
         assert np.array_equal(block.indices, reference.indices)
@@ -357,15 +372,7 @@ def test_reused_assembly_pattern_is_bitwise():
     # 96 generators (N = 1..6, both families, drives +1, -1, 0 and 0.5, field 0
     # and 0.3) under every flag combination, in a shuffled order through the
     # bounded pattern cache, so hits on other generators' patterns and misses mix
-    generators = []
-    for n_sites in range(1, 7):
-        for b in (0.0, 0.3):
-            spec = ChainSpec(n_sites, alpha=0.9, delta=tuple(np.linspace(0.6, 1.4, n_sites - 1)),
-                             b_field=(b,) * n_sites)
-            for drive in (1.0, -1.0, 0.0, 0.5):
-                for diss in (TargetZ(drive, -drive, gamma=1.3), TwistedXY(drive, -drive, rate=0.8)):
-                    generators.append(build_liouvillian(build_hamiltonian(spec),
-                                                        jump_operators(diss, n_sites)))
+    generators = list(_ninety_six_generators())
     flags = [(q0, border) for q0 in (False, True) for border in (False, True)]
     cases = [(liouv, flag) for liouv in generators for flag in flags
              if liouv.dim <= 32 or flag == (True, True)]  # N=6: the solve block only
@@ -375,7 +382,8 @@ def test_reused_assembly_pattern_is_bitwise():
         liouv, (q0, border) = cases[position]
         block, index = liouv._assemble(q0=q0, border=border)
         reference, reference_index = _reference_assembly(liouv, q0, border)
-        assert np.array_equal(index, reference_index)
+        assert np.array_equal(np.sort(index) if border else index, reference_index)
+        reference = _in_block_order(reference, reference_index, index)
         assert block.format == "csc" and block.shape == reference.shape
         assert block.indptr.tobytes() == reference.indptr.astype(block.indptr.dtype).tobytes()
         assert block.indices.tobytes() == reference.indices.astype(block.indices.dtype).tobytes()
@@ -389,9 +397,9 @@ def test_reused_assembly_pattern_is_bitwise():
                                    jump_operators(TwistedXY(0.0, 0.0), 1))
     for _ in range(2):  # a miss, then a hit
         block, index = cancelling._assemble(q0=True, border=True)
-        assert index.tolist() == [0, 3]
-        assert block.data.tobytes() == _reference_assembly(
-            cancelling, True, True)[0].data.tobytes()
+        assert sorted(index.tolist()) == [0, 3]
+        reference = _in_block_order(*_reference_assembly(cancelling, True, True), index)
+        assert block.data.tobytes() == reference.data.tobytes()
     # on one site at f = 0 and gamma 0.5 the rho[0, 0] diagonal entry is -1/2,
     # which the border's 1/d = 1/2 cancels inside the q=0 block
     liouv = build_liouvillian(build_hamiltonian(ChainSpec(1, 0.9, (), (0.3,))),
@@ -399,8 +407,9 @@ def test_reused_assembly_pattern_is_bitwise():
     assert liouv.matrix[0, 0] == -0.5
     for _ in range(2):
         block, index = liouv._assemble(q0=True, border=True)
-        reference, _ = _reference_assembly(liouv, True, True)
-        assert block[0, 0] == 0 and block.nnz == reference.nnz
+        reference = _in_block_order(*_reference_assembly(liouv, True, True), index)
+        border, = np.flatnonzero(index == 0)
+        assert block[border, border] == 0 and block.nnz == reference.nnz
         assert block.indptr.tobytes() == reference.indptr.astype(np.int32).tobytes()
         assert block.indices.tobytes() == reference.indices.astype(np.int32).tobytes()
         assert block.data.tobytes() == reference.data.tobytes()
@@ -424,6 +433,103 @@ def test_assembly_pattern_is_shared_and_read_only():
     third = build_liouvillian(build_hamiltonian(spec), jump_operators(TargetZ(1.0, -1.0), 3))
     third._assemble(q0=True, border=True)
     assert lindblad._pattern.cache_info().misses == 2
+
+
+def _ninety_six_generators():
+    """N = 1..6, both families, drives +1, -1, 0 and 0.5, field 0 and 0.3."""
+    for n_sites in range(1, 7):
+        for b in (0.0, 0.3):
+            spec = ChainSpec(n_sites, alpha=0.9, delta=tuple(np.linspace(0.6, 1.4, n_sites - 1)),
+                             b_field=(b,) * n_sites)
+            for drive in (1.0, -1.0, 0.0, 0.5):
+                for diss in (TargetZ(drive, -drive, gamma=1.3), TwistedXY(drive, -drive, rate=0.8)):
+                    yield build_liouvillian(build_hamiltonian(spec), jump_operators(diss, n_sites))
+
+
+def test_solve_block_order_is_superlus_minimum_degree_order():
+    # the bordered block is laid out in the column order that SuperLU's
+    # MMD_AT_PLUS_A picks for the block in index order, cancelled entries
+    # dropped; factorised in that order with NATURAL, it picks the same
+    # pivots and fills as much
+    mmd = {**lindblad._FACTOR_OPTIONS, "permc_spec": "MMD_AT_PLUS_A"}
+    lindblad._pattern.cache_clear()
+    generators = 0
+    for generators, liouv in enumerate(_ninety_six_generators(), start=1):
+        block, index = liouv._assemble(q0=True, border=True)
+        reference, reference_index = _reference_assembly(liouv, True, True)
+        natural = scipy.sparse.linalg.splu(reference, **mmd)
+        order = np.argsort(natural.perm_c)
+        assert np.array_equal(index, reference_index[order])
+        ordered = lindblad._factor(block)
+        assert np.array_equal(ordered.perm_r, natural.perm_r[order])
+        assert ordered.nnz == natural.nnz
+    assert generators == 96
+
+
+def _solve_history(rng, count):
+    """Solves of other generators: other values on shared shapes, other
+    sizes, both families, with and without a field."""
+    for _ in range(count):
+        n_sites = int(rng.integers(3, 6))
+        spec = expand_graded(GradedProfile(rng.uniform(0.5, 1.5), rng.uniform(0.0, 0.5)),
+                             n_sites, b_field=float(rng.choice([0.0, 0.3])))
+        drive = float(rng.uniform(-0.9, 0.9))
+        diss = TargetZ(drive, -drive) if rng.integers(2) else TwistedXY(drive, -drive)
+        steady_state(build_liouvillian(build_hamiltonian(spec), jump_operators(diss, n_sites)))
+
+
+@pytest.mark.parametrize("n_sites, diss", [(4, TwistedXY(0.5, -0.5)), (5, TargetZ(0.5, -0.5))])
+def test_solve_does_not_depend_on_what_the_caches_saw(n_sites, diss):
+    # twisted_xy's assembly drops cancelled entries; target_z's is its q=0 block
+    spec = expand_graded(GradedProfile(1.0, 0.5), n_sites, b_field=0.3)
+    liouv = build_liouvillian(build_hamiltonian(spec), jump_operators(diss, n_sites))
+    lindblad._pattern.cache_clear()
+    cold = steady_state(liouv)
+    lindblad._pattern.cache_clear()
+    # the pattern and its order first made for other values on the same positions
+    other = build_liouvillian(build_hamiltonian(expand_graded(GradedProfile(1.3, 0.2), n_sites,
+                                                              b_field=0.7)),
+                              jump_operators(diss.with_drive(0.2), n_sites))
+    steady_state(other)
+    _solve_history(np.random.default_rng(25), 19)
+    warm = steady_state(liouv)
+    assert warm.rho.tobytes() == cold.rho.tobytes()
+    assert (warm.fill, warm.certificate, warm.residual) == (cold.fill, cold.certificate,
+                                                            cold.residual)
+
+
+def test_each_factorised_structure_is_ordered_once(monkeypatch):
+    # one factor per solve; one layout, and one ordering, per pattern and kept
+    # mask, however often the structure is solved again
+    factors, orderings, layouts = [], [], []
+    splu, spilu, layout = (scipy.sparse.linalg.splu, scipy.sparse.linalg.spilu,
+                           lindblad._layout)
+    monkeypatch.setattr(scipy.sparse.linalg, "splu",
+                        lambda matrix, **kwargs: factors.append(kwargs) or splu(matrix, **kwargs))
+    monkeypatch.setattr(scipy.sparse.linalg, "spilu",
+                        lambda matrix, **kwargs: orderings.append(kwargs)
+                        or spilu(matrix, **kwargs))
+    monkeypatch.setattr(lindblad, "_layout",
+                        lambda *args: layouts.append(args) or layout(*args))
+    lindblad._pattern.cache_clear()  # patterns made from here on bind the recording _layout
+    solves = 0
+    for family in ("target_z", "twisted_xy"):
+        for _ in range(3):
+            forward, inverted = _graded_pair(4, family)
+            steady_state(inverted, certificate=steady_state(forward).certificate)
+            solves += 2
+    assert len(factors) == solves == 12
+    assert all(kwargs["permc_spec"] == "NATURAL" for kwargs in factors)
+    # target_z: the partner's jumps sit where the forward ones do, and nothing
+    # cancels; twisted_xy: the partner's sit on the other sites, and 512 of
+    # each pattern's 2573 entries cancel on every solve
+    kept = [mask for *_, mask in layouts]
+    assert kept[0] is None and len(kept) == 3
+    for mask in kept[1:]:
+        mask = np.frombuffer(mask, dtype=bool)
+        assert (mask.size, np.count_nonzero(~mask)) == (2573, 512)
+    assert len(orderings) == 3
+    assert all(kwargs["permc_spec"] == "MMD_AT_PLUS_A" for kwargs in orderings)
 
 
 def test_steady_state_does_not_assemble_the_full_matrix():
@@ -649,8 +755,7 @@ def _eigensolved_gap(liouv):
     """The gap eigensolve run on the bordered factor of a generator's solve
     block, whichever route its solve takes."""
     bordered, index = liouv._assemble(q0=True, border=True)
-    factor = scipy.sparse.linalg.splu(bordered, **lindblad._FACTOR_OPTIONS)
-    return lindblad._gap(factor, index, liouv.dim)
+    return lindblad._gap(lindblad._factor(bordered), index, liouv.dim)
 
 
 @pytest.mark.parametrize("family, q0", [("target_z", True), ("twisted_xy", False)])
@@ -692,12 +797,14 @@ def test_bordered_assembly_adds_the_trace_row_to_row_zero(family):
     for q0 in (False, True):
         plain, index = liouv._assemble(q0=q0)
         bordered, bordered_index = liouv._assemble(q0=q0, border=True)
-        assert np.array_equal(index, bordered_index)
+        # the same rows, the bordered ones in their fill-reducing order
+        order = np.searchsorted(index, bordered_index)
+        assert np.array_equal(index[order], bordered_index)
         trace_row = np.zeros(index.size)
         trace_row[np.isin(index, np.arange(liouv.dim) * (liouv.dim + 1))] = 1.0
         expected = plain.toarray()
         expected[0] += trace_row / liouv.dim  # row 0 is rho[0, 0], in the q=0 block too
-        assert np.array_equal(bordered.toarray(), expected)
+        assert np.array_equal(bordered.toarray(), expected[np.ix_(order, order)])
         # the trace row is a left null vector, so the bordered solve has trace one
         assert np.abs(trace_row @ plain.toarray()).max() < 1e-14
 
@@ -843,7 +950,7 @@ def test_norm_bound_zero_mode_is_corrected_by_its_residual(family):
     for liouv, certificate in cases:
         bordered, index = liouv._assemble(q0=True, border=True)
         rhs = np.zeros(index.size, dtype=complex)
-        rhs[0] = 1.0 / liouv.dim
+        rhs[index == 0] = 1.0 / liouv.dim  # the border row, that of rho[0, 0]
         reference = _trace_one_state(liouv, _refined_solve(bordered, rhs), index)
         rho = steady_state(liouv, certificate=certificate).rho
         assert np.abs(rho - reference).max() <= 1e-15
@@ -885,7 +992,7 @@ def test_a_block_above_the_cap_is_only_eigensolved(monkeypatch, n_sites, family)
 
     class RecordingFactor:
         def __init__(self, factor):
-            self.factor = factor
+            self.factor, self.nnz = factor, factor.nnz
 
         def solve(self, rhs):
             right_hand_sides.append(np.shape(rhs))
